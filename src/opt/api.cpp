@@ -168,6 +168,14 @@ std::string PowderReport::to_json() const {
   append_field(os, "event_overflows", diagnostics.power_model.event_overflows,
                &pf);
   append_field(os, "glitch_share", diagnostics.power_model.glitch_share, &pf);
+  append_field(os, "pgc_evaluations", diagnostics.power_model.pgc_evaluations,
+               &pf);
+  append_field(os, "pgc_memo_hits", diagnostics.power_model.pgc_memo_hits,
+               &pf);
+  append_field(os, "pgc_cone_gates", diagnostics.power_model.pgc_cone_gates,
+               &pf);
+  append_field(os, "pgc_fallback_pairs",
+               diagnostics.power_model.pgc_fallback_pairs, &pf);
   os << "}";
   os << "}";
   // Snapshot of the attached MetricsRegistry; absent without a metrics sink

@@ -16,6 +16,7 @@
 #include "bdd/netlist_bdd.hpp"
 #include "opt/funcred.hpp"
 #include "opt/journal.hpp"
+#include "opt/selection.hpp"
 #include "power/attribution.hpp"
 #include "power/power.hpp"
 #include "session/checkpoint.hpp"
@@ -584,6 +585,18 @@ PowderReport PowderOptimizer::run() {
   const Meter m_funcred =
       meter("powder_funcred_merges_total",
             "Signals merged away by the functional-reduction pre-pass");
+  const Meter m_pgc_evals =
+      meter("powder_pgc_evaluations_total",
+            "PG_C values computed by the selection rounds");
+  const Meter m_pgc_memo =
+      meter("powder_pgc_memo_hits_total",
+            "Shortlisted PG_C values reused at an unchanged netlist epoch");
+  const Meter m_pgc_cone =
+      meter("powder_pgc_cone_gates_total",
+            "Gates in the affected sets the timed PG_C replays simulated");
+  const Meter m_pgc_fallback =
+      meter("powder_pgc_fallback_pairs_total",
+            "Vector pairs timed PG_C re-simulated in full on the copy");
   // Per-class harvest/proof accounting behind diagnostics.resub. Names are
   // derived from the class table so the registry export and the report's
   // by_class array can never disagree on the class set.
@@ -774,6 +787,8 @@ PowderReport PowderOptimizer::run() {
     }
     return true;
   };
+
+  SelectionStats selection_stats;
 
   // Persistent across iterations: the signature index refreshes only the
   // epoch-dirty gates on re-harvest. Reseeding per iteration keeps the RNG
@@ -982,6 +997,10 @@ PowderReport PowderOptimizer::run() {
       m_guard_rb.c->inc(res.stats.guard_rollbacks);
       m_inline.c->inc(res.stats.inline_proofs);
       m_truncated.c->inc(res.stats.truncated);
+      m_pgc_evals.c->inc(res.stats.selection.pgc_evaluations);
+      m_pgc_memo.c->inc(res.stats.selection.pgc_memo_hits);
+      m_pgc_cone.c->inc(res.stats.replay.cone_gates);
+      m_pgc_fallback.c->inc(res.stats.replay.fallback_pairs);
       for (int i = 0; i < kNumResubClasses; ++i) {
         const auto k = static_cast<std::size_t>(i);
         m_cls_harvested[k].c->inc(res.stats.harvested_by_class[k]);
@@ -1318,48 +1337,19 @@ PowderReport PowderOptimizer::run() {
           break;
         }
         // ---- select_power_red_subst --------------------------------------
-        // Refresh validity and PG_A+PG_B of the surviving candidates (the
-        // netlist has changed since harvesting), preselect the best, then
+        // Refresh validity and PG_A+PG_B of the surviving candidates whose
+        // memo predates the netlist's epoch, preselect the best, then
         // re-estimate PG_C for the shortlist only.
-        const bool area_mode = options_.objective == Objective::kArea;
-        std::vector<std::size_t> order;
-        std::vector<double> metric(cands.size(), 0.0);
-        for (std::size_t i = 0; i < cands.size();) {
-          if (!substitution_still_valid(*netlist_, cands[i])) {
-            m_stale.c->inc();
-            audit_decision(cands[i], "rejected_stale");
-            cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
-          }
-          cands[i].pg_a = compute_pg_a(*netlist_, model, cands[i]);
-          cands[i].pg_b = compute_pg_b(*netlist_, model, cands[i]);
-          metric[i] = area_mode ? compute_area_gain(*netlist_, cands[i])
-                                : cands[i].preselect_gain();
-          order.push_back(i);
-          ++i;
-        }
-        if (order.empty()) break;
-        std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-          return metric[x] > metric[y];
-        });
-        const std::size_t shortlist =
-            std::min<std::size_t>(order.size(),
-                                  static_cast<std::size_t>(options_.shortlist));
-        std::size_t best = cands.size();
-        double best_gain = options_.min_gain;
-        if (area_mode) {
-          // Area gain is exact — no shortlist re-estimation needed.
-          if (metric[order[0]] > best_gain) best = order[0];
-        } else {
-          for (std::size_t k = 0; k < shortlist; ++k) {
-            CandidateSub& cand = cands[order[k]];
-            cand.pg_c = compute_pg_c(*netlist_, model, cand);
-            if (cand.total_gain() > best_gain) {
-              best_gain = cand.total_gain();
-              best = order[k];
-            }
-          }
-        }
+        const Selection sel = select_power_red_subst(
+            *netlist_, model, &cands, options_,
+            [&](const CandidateSub& c) {
+              if (substitution_still_valid(*netlist_, c)) return true;
+              m_stale.c->inc();
+              audit_decision(c, "rejected_stale");
+              return false;
+            },
+            &selection_stats);
+        const std::size_t best = sel.best;
         if (best == cands.size()) break;  // nothing left that helps
 
         // Speculate on the rest of the shortlist: if the chosen candidate is
@@ -1370,13 +1360,13 @@ PowderReport PowderOptimizer::run() {
         // ladder has stepped off the full engine.
         if (pipe != nullptr && !resume.active() &&
             ladder.level() == DegradationLevel::kFullProof) {
-          for (std::size_t k = 0; k < shortlist; ++k)
-            if (order[k] != best) pipe->speculate(cands[order[k]]);
+          for (const std::size_t k : sel.shortlist)
+            if (k != best) pipe->speculate(cands[k]);
         }
 
         CandidateSub chosen = cands[best];
         cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
-        const bool pg_c_known = !area_mode;
+        const bool pg_c_known = options_.objective != Objective::kArea;
 
         // ---- check_delay (§3.4) -------------------------------------------
         bool delay_violated;
@@ -1676,7 +1666,11 @@ PowderReport PowderOptimizer::run() {
   if (attr != nullptr) attr->end_run();
   report.final_area = netlist_->total_area();
   report.diagnostics.power_model.kind = power_model_name(model.kind());
+  m_pgc_evals.c->inc(selection_stats.pgc_evaluations);
+  m_pgc_memo.c->inc(selection_stats.pgc_memo_hits);
   if (timed_model.has_value()) {
+    m_pgc_cone.c->inc(timed_model->replay_stats().cone_gates);
+    m_pgc_fallback.c->inc(timed_model->replay_stats().fallback_pairs);
     report.diagnostics.power_model.vector_pairs =
         timed_model->glitch_options().num_vector_pairs;
     report.diagnostics.power_model.timed_resims = timed_model->resim_count();
@@ -1685,6 +1679,10 @@ PowderReport PowderOptimizer::run() {
     report.diagnostics.power_model.glitch_share =
         timed_model->estimate().glitch_share();
   }
+  report.diagnostics.power_model.pgc_evaluations = m_pgc_evals.delta();
+  report.diagnostics.power_model.pgc_memo_hits = m_pgc_memo.delta();
+  report.diagnostics.power_model.pgc_cone_gates = m_pgc_cone.delta();
+  report.diagnostics.power_model.pgc_fallback_pairs = m_pgc_fallback.delta();
   report.final_delay = timing.circuit_delay();
   report.diagnostics.sta_incremental_visits +=
       static_cast<long>(timing.nodes_visited());

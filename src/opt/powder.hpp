@@ -428,6 +428,14 @@ struct PowderReport {
       long timed_resims = 0;      ///< full event-driven recomputations
       long event_overflows = 0;   ///< pairs truncated by the event budget
       double glitch_share = 0.0;  ///< final (timed - zero-delay) / timed
+      // Selection-loop PG_C work (both models): values computed, and
+      // shortlisted values reused because the netlist epoch had not moved.
+      long pgc_evaluations = 0;
+      long pgc_memo_hits = 0;
+      // Timed PG_C replays: affected-set gates simulated, and vector pairs
+      // re-simulated in full on the scratch copy instead.
+      long pgc_cone_gates = 0;
+      long pgc_fallback_pairs = 0;
     };
     PowerModelDiag power_model;
   };

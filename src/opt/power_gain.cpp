@@ -1,8 +1,8 @@
 #include "opt/power_gain.hpp"
 
-#include <span>
-
+#include <algorithm>
 #include <bit>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -123,8 +123,9 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
   // inside the cone).
   const std::vector<GateId> cone =
       netlist.mffc(sub.target, replacement_sources(sub));
-  std::vector<std::uint8_t> in_cone(netlist.num_slots(), 0);
-  for (GateId g : cone) in_cone[g] = 1;
+  // Cone-sized membership: a sorted copy, searched per fanin.
+  std::vector<GateId> members = cone;
+  std::sort(members.begin(), members.end());
 
   double gain = 0.0;
   // First sum: switched capacitance of the pruned gates' signals. The
@@ -136,7 +137,7 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
     const std::span<const GateId> fanins = netlist.fanins(g);
     for (int pin = 0; pin < static_cast<int>(fanins.size()); ++pin) {
       const GateId fi = fanins[static_cast<std::size_t>(pin)];
-      if (!in_cone[fi])
+      if (!std::binary_search(members.begin(), members.end(), fi))
         gain += netlist.pin_cap(g, pin) * est.activity(fi);
     }
   }
@@ -226,10 +227,11 @@ double zero_delay_pg_c(const Netlist& netlist, const PowerModel& est,
 }
 
 /// Timed PG_C: apply the substitution to a scratch copy (the same pattern
-/// as the optimizer's trial STA), re-run the event-driven estimate, and
-/// book the exact glitch-inclusive delta minus the PG_A + PG_B
-/// already carried by `sub` — so pg_a + pg_b + pg_c is the measured
-/// timed power saving.
+/// as the optimizer's trial STA), re-estimate it by replaying the event
+/// simulation over the copy's affected cone only (TimedPowerModel::
+/// trial_power, bitwise equal to a full estimate of the copy), and book the
+/// exact glitch-inclusive delta minus the PG_A + PG_B already carried by
+/// `sub` — so pg_a + pg_b + pg_c is the measured timed power saving.
 double timed_pg_c(const Netlist& netlist, const TimedPowerModel& est,
                   const CandidateSub& sub) {
   Netlist scratch = netlist;  // copies drop observers: mutations stay local
@@ -240,9 +242,7 @@ double timed_pg_c(const Netlist& netlist, const TimedPowerModel& est,
     // report a hopeless gain so the loop discards it.
     return -est.total_power();
   }
-  const GlitchEstimate after =
-      estimate_glitch_power(scratch, est.glitch_options());
-  return (est.total_power() - after.timed_power) - sub.pg_a - sub.pg_b;
+  return (est.total_power() - est.trial_power(scratch)) - sub.pg_a - sub.pg_b;
 }
 
 }  // namespace

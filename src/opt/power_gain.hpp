@@ -18,7 +18,9 @@
 // PG_C (any sign): activity changes across the transitive fanout of the
 //   substituted signal. Zero-delay: a non-destructive trial simulation of
 //   exactly that region. Timed: an event-driven re-estimate of a scratch
-//   copy with the substitution applied — PG_C is defined as the measured
+//   copy with the substitution applied, replaying only the copy's affected
+//   cone against the model's recorded base (bitwise equal to re-estimating
+//   the whole copy) — PG_C is defined as the measured
 //   glitch-inclusive delta minus the already-booked PG_A + PG_B, making
 //   total_gain() the exact timed power saving (requires pg_a/pg_b to be
 //   filled on `sub` before the call, which the optimizer's shortlist pass

@@ -54,12 +54,18 @@ const char* resub_class_name(ResubClass c);
 /// Backward-compatible alias: the paper-era name for the class tag.
 using SubstClass = ResubClass;
 
+/// Memo stamp of a value never computed.
+inline constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
 struct Transform {
   ResubClass cls = ResubClass::kOS2;
+  /// Selection memo: pg_c was computed at `gains_epoch` (declared here so
+  /// it fills padding — a harvest holds every candidate at once).
+  bool pg_c_memo = false;
   GateId target = kNullGate;            ///< substituted stem signal
   std::optional<FanoutRef> branch;      ///< set for input substitutions
-  ReplacementFunction rep;              ///< what replaces the signal
   CellId new_cell = kInvalidCell;       ///< library cell for OS3/IS3/OSK/ISK
+  ReplacementFunction rep;              ///< what replaces the signal
   // Pin order note: `new_cell` is instantiated with the ordered divisor
   // set as fanins ({rep.b, rep.c} for kTwoInput, rep.divisors for kCell).
 
@@ -67,6 +73,11 @@ struct Transform {
   double pg_a = 0.0;  ///< >= 0, removed capacitance
   double pg_b = 0.0;  ///< <= 0, added load on the substituting signal(s)
   double pg_c = 0.0;  ///< TFO re-estimation; filled for the shortlist only
+
+  /// Selection memo (select_power_red_subst): the Netlist::epoch() at which
+  /// validity and pg_a/pg_b were last computed. Only meaningful against
+  /// the netlist the candidate was harvested from.
+  std::uint64_t gains_epoch = kNoEpoch;
 
   double preselect_gain() const { return pg_a + pg_b; }
   double total_gain() const { return pg_a + pg_b + pg_c; }

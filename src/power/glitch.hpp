@@ -60,7 +60,60 @@ struct GlitchOptions {
   std::uint64_t seed = 0x611DC4ull;
 };
 
+/// Per-pair record of one full estimate, kept so that a locally edited copy
+/// of the netlist can be re-estimated by replaying only its affected cone
+/// (replay_timed_power, DESIGN.md §13.1). Arrays are indexed by GateId of
+/// the recorded netlist.
+struct GlitchTrace {
+  std::uint64_t epoch = 0;  ///< netlist epoch the record was taken at
+  int pairs = 0;
+  int words = 0;  ///< 64-pair words per gate in `v1` and `pi_v2`
+  std::vector<double> delay;  ///< gate_delay of every live gate
+  /// Settled v1 value of gate g in pair p: bit p % 64 of
+  /// v1[g * words + p / 64].
+  std::vector<std::uint64_t> v1;
+  /// v2 value of input i (inputs() order), laid out like `v1`.
+  std::vector<std::uint64_t> pi_v2;
+  /// Transitions of gate g, ordered by (pair, time), occupy
+  /// [offset[g], offset[g + 1]) of `time` and `pair_of`. A transition always
+  /// flips the signal, so the values need no storage.
+  std::vector<std::uint32_t> offset;
+  std::vector<double> time;
+  std::vector<std::uint32_t> pair_of;
+  /// Event batches the pair took (the unit of the event budget).
+  std::vector<long> batches;
+  /// 0 when the pair overflowed its budget or popped two events of
+  /// different value for one gate at one time (their order, and so the
+  /// outcome, depends on unrelated heap contents): such a pair cannot seed
+  /// a replay and is re-simulated in full.
+  std::vector<std::uint8_t> replayable;
+
+  /// Heap bytes held by the record.
+  std::size_t bytes() const;
+};
+
+/// Work done by replay_timed_power calls.
+struct GlitchReplayStats {
+  long cone_gates = 0;      ///< affected-set sizes, summed over calls
+  long fallback_pairs = 0;  ///< pairs re-simulated in full on the copy
+};
+
+/// Runs the estimate; when `trace` is non-null it also records the per-pair
+/// base a later replay_timed_power starts from.
 GlitchEstimate estimate_glitch_power(const Netlist& netlist,
-                                     const GlitchOptions& options = {});
+                                     const GlitchOptions& options = {},
+                                     GlitchTrace* trace = nullptr);
+
+/// The `timed_power` that estimate_glitch_power(trial, options) returns, bit
+/// for bit, for `trial`: a copy of `base` (same GateIds) with a local edit
+/// applied. `trace` must be the record of `base` in its current state under
+/// the same options. Only the gates whose switching can differ from the
+/// record — the fanout closure of every gate whose kind, cell, fanins or
+/// delay changed — are re-simulated, with their boundary fanins replaying
+/// the recorded transitions; pairs the replay cannot reproduce exactly are
+/// re-simulated in full on `trial`.
+double replay_timed_power(const Netlist& base, const GlitchTrace& trace,
+                          const Netlist& trial, const GlitchOptions& options,
+                          GlitchReplayStats* stats = nullptr);
 
 }  // namespace powder

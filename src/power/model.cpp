@@ -43,10 +43,16 @@ void TimedPowerModel::on_delta(const NetlistDelta& delta) {
 void TimedPowerModel::refresh() {
   base_->refresh();
   if (!dirty_) return;
-  estimate_ = estimate_glitch_power(*netlist_, options_);
+  estimate_ = estimate_glitch_power(*netlist_, options_, &trace_);
   overflows_total_ += estimate_.event_overflows;
   ++resims_;
   dirty_ = false;
+}
+
+double TimedPowerModel::trial_power(const Netlist& trial) const {
+  POWDER_CHECK_MSG(!dirty_, "trial_power() on a model that needs refresh()");
+  return replay_timed_power(*netlist_, trace_, trial, options_,
+                            &replay_stats_);
 }
 
 double TimedPowerModel::activity(GateId g) const {

@@ -18,9 +18,10 @@
 // Both models ride the netlist delta bus. The zero-delay model refreshes
 // incrementally (dirty-region resimulation); the timed model invalidates
 // its cached estimate on any structural delta and recomputes it lazily on
-// refresh() — a full event-driven pass with a fixed seed, so the estimate
-// is a pure function of (netlist, options) and identical at any thread
-// count.
+// refresh() with a fixed seed, so the estimate is a pure function of
+// (netlist, options) and identical at any thread count. That pass also
+// records a per-pair GlitchTrace, from which trial_power() re-estimates an
+// edited copy by replaying only the gates the edit can affect.
 
 #include "netlist/netlist.hpp"
 #include "power/glitch.hpp"
@@ -95,16 +96,28 @@ class TimedPowerModel final : public PowerModel, public NetlistObserver {
   const GlitchOptions& glitch_options() const { return options_; }
   const GlitchEstimate& estimate() const { return estimate_; }
 
+  /// Timed power of `trial`, a copy of the model's netlist with one local
+  /// edit applied: bitwise the estimate_glitch_power(trial,
+  /// glitch_options()).timed_power, computed by replay_timed_power from the
+  /// trace of the last refresh(). Requires a refreshed model; not for
+  /// concurrent callers (it counts into replay_stats()).
+  double trial_power(const Netlist& trial) const;
+
   // Diagnostics: full event-driven recomputations performed, and vector
   // pairs truncated by the event budget across all of them.
   long resim_count() const { return resims_; }
   long event_overflows() const { return overflows_total_; }
+  /// Work of the trial_power() replays so far.
+  const GlitchReplayStats& replay_stats() const { return replay_stats_; }
+  const GlitchTrace& trace() const { return trace_; }
 
  private:
   const Netlist* netlist_;
   PowerEstimator* base_;
   GlitchOptions options_;
   GlitchEstimate estimate_;
+  GlitchTrace trace_;
+  mutable GlitchReplayStats replay_stats_;
   bool dirty_ = true;
   long resims_ = 0;
   long overflows_total_ = 0;

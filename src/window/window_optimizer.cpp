@@ -7,6 +7,7 @@
 #include "atpg/sat_checker.hpp"
 #include "opt/journal.hpp"
 #include "opt/power_gain.hpp"
+#include "opt/selection.hpp"
 #include "trace/trace.hpp"
 #include "util/budget.hpp"
 #include "util/check.hpp"
@@ -130,7 +131,6 @@ WindowResult optimize_window(WindowExtraction& ex,
     return true;
   };
 
-  const bool area_mode = base.objective == Objective::kArea;
   for (int round = 0; round < wo.rounds; ++round) {
     finder.reseed(wo.seed + 17 * static_cast<std::uint64_t>(round));
     std::vector<CandidateSub> cands = finder.find();
@@ -142,50 +142,23 @@ WindowResult optimize_window(WindowExtraction& ex,
     int performed = 0;
     bool progress = false;
     while (performed < base.repeat && !cands.empty()) {
-      // Selection: identical to the global loop's
-      // select_power_red_subst, plus the two windowed soundness filters
-      // (see the header comment).
-      std::vector<std::size_t> order;
-      std::vector<double> metric(cands.size(), 0.0);
-      for (std::size_t i = 0; i < cands.size();) {
-        const CandidateSub& c = cands[i];
-        const bool representable =
-            nl.kind(c.target) == GateKind::kCell &&
-            !(c.branch.has_value() &&
-              nl.kind(c.branch->gate) == GateKind::kOutput);
-        if (!representable || !substitution_still_valid(nl, c)) {
-          ++result.stats.stale;
-          cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
-        cands[i].pg_a = compute_pg_a(nl, model, cands[i]);
-        cands[i].pg_b = compute_pg_b(nl, model, cands[i]);
-        metric[i] = area_mode ? compute_area_gain(nl, cands[i])
-                              : cands[i].preselect_gain();
-        order.push_back(i);
-        ++i;
-      }
-      if (order.empty()) break;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t x, std::size_t y) {
-                  return metric[x] > metric[y];
-                });
-      const std::size_t shortlist = std::min<std::size_t>(
-          order.size(), static_cast<std::size_t>(base.shortlist));
-      std::size_t best = cands.size();
-      double best_gain = base.min_gain;
-      if (area_mode) {
-        if (metric[order[0]] > best_gain) best = order[0];
-      } else {
-        for (std::size_t k = 0; k < shortlist; ++k) {
-          CandidateSub& cand = cands[order[k]];
-          cand.pg_c = compute_pg_c(nl, model, cand);
-          if (cand.total_gain() > best_gain) {
-            best_gain = cand.total_gain();
-            best = order[k];
-          }
-        }
-      }
+      // Selection: the global loop's select_power_red_subst, plus the two
+      // windowed soundness filters (see the header comment).
+      const std::size_t best =
+          select_power_red_subst(
+              nl, model, &cands, base,
+              [&](const CandidateSub& c) {
+                const bool representable =
+                    nl.kind(c.target) == GateKind::kCell &&
+                    !(c.branch.has_value() &&
+                      nl.kind(c.branch->gate) == GateKind::kOutput);
+                if (representable && substitution_still_valid(nl, c))
+                  return true;
+                ++result.stats.stale;
+                return false;
+              },
+              &result.stats.selection)
+              .best;
       if (best == cands.size()) break;
 
       CandidateSub chosen = cands[best];
@@ -253,6 +226,7 @@ WindowResult optimize_window(WindowExtraction& ex,
           // this window can be trusted — abandon it without commits.
           resync();
           result.commits.clear();
+          if (timed.has_value()) result.stats.replay = timed->replay_stats();
           return result;
         }
         continue;
@@ -273,6 +247,7 @@ WindowResult optimize_window(WindowExtraction& ex,
     if (!progress) break;
   }
 
+  if (timed.has_value()) result.stats.replay = timed->replay_stats();
   window_span.arg("commits", static_cast<long long>(result.commits.size()));
   return result;
 }

@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "opt/powder.hpp"
+#include "opt/selection.hpp"
+#include "power/glitch.hpp"
 #include "session/wal.hpp"
 #include "window/extract.hpp"
 
@@ -56,6 +58,8 @@ struct WindowLocalStats {
   /// Per-resubstitution-class harvest/proof counts (diagnostics.resub).
   std::array<long, kNumResubClasses> harvested_by_class{};
   std::array<long, kNumResubClasses> proved_by_class{};
+  SelectionStats selection;  ///< local PG_C evaluations and memo hits
+  GlitchReplayStats replay;  ///< local timed-PG_C replay work
 };
 
 struct WindowResult {

@@ -8,7 +8,10 @@
 // optimized with a fixed configuration; the golden stores the full BLIF of
 // the optimized netlist plus the deterministic report fields in hexfloat,
 // so any drift — a reordered fanout list, a float summed in a different
-// order, a changed substitution choice — fails loudly and diffably.
+// order, a changed substitution choice — fails loudly and diffably. The
+// `*.timed.*` goldens pin the same flow under the timed power model (64
+// vector pairs); they were recorded with the whole-copy timed PG_C that
+// the cone-local replay replaced.
 
 #include <gtest/gtest.h>
 
@@ -110,10 +113,17 @@ struct FlowResultText {
   std::string report;
 };
 
-FlowResultText run_flow(const std::string& name, int threads) {
+FlowResultText run_flow(const std::string& name, int threads,
+                        bool timed = false) {
   Netlist nl = map_aig(make_benchmark(name), lib());
-  const PowderReport rep =
-      optimize(nl, parity_options(nl.num_inputs(), threads));
+  PowderOptions opt = parity_options(nl.num_inputs(), threads);
+  if (timed) {
+    // The glitch-inclusive model at the benchmark's sample size: pins the
+    // event-driven PG_C path the zero-delay goldens never reach.
+    opt.power_model = PowerModelKind::kTimed;
+    opt.glitch.num_vector_pairs = 64;
+  }
+  const PowderReport rep = optimize(nl, opt);
   return FlowResultText{write_blif(nl), report_fingerprint(rep)};
 }
 
@@ -185,6 +195,33 @@ TEST_P(LayoutParityTest, ThreadedFlowMatchesGolden) {
   EXPECT_EQ(got.blif, want_blif)
       << "threaded optimized netlist drifted for " << name;
   EXPECT_EQ(got.report, read_file(golden_path(name + ".report")));
+}
+
+TEST_P(LayoutParityTest, SerialTimedFlowMatchesGolden) {
+  const std::string name = GetParam();
+  const FlowResultText got = run_flow(name, /*threads=*/1, /*timed=*/true);
+  if (regen()) {
+    write_file(golden_path(name + ".timed.blif"), got.blif);
+    write_file(golden_path(name + ".timed.report"), got.report);
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string want_blif = read_file(golden_path(name + ".timed.blif"));
+  ASSERT_FALSE(want_blif.empty()) << "missing timed golden for " << name
+                                  << " (run with POWDER_REGEN_GOLDEN=1)";
+  EXPECT_EQ(got.blif, want_blif) << "timed netlist drifted for " << name;
+  EXPECT_EQ(got.report, read_file(golden_path(name + ".timed.report")))
+      << "timed report drifted for " << name;
+}
+
+TEST_P(LayoutParityTest, ThreadedTimedFlowMatchesGolden) {
+  const std::string name = GetParam();
+  if (regen()) GTEST_SKIP() << "golden regenerated by the serial case";
+  const FlowResultText got = run_flow(name, /*threads=*/8, /*timed=*/true);
+  const std::string want_blif = read_file(golden_path(name + ".timed.blif"));
+  ASSERT_FALSE(want_blif.empty()) << "missing timed golden for " << name;
+  EXPECT_EQ(got.blif, want_blif)
+      << "threaded timed netlist drifted for " << name;
+  EXPECT_EQ(got.report, read_file(golden_path(name + ".timed.report")));
 }
 
 TEST_P(LayoutParityTest, JournalStormMatchesGolden) {
