@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -621,31 +622,57 @@ std::vector<GateId> Netlist::tfo(GateId g) const {
   return out;
 }
 
+namespace {
+
+/// Membership marks for mffc(), one table per thread: the harvest's shards
+/// call mffc concurrently, and a shared scratch would race. Each call takes
+/// two fresh stamps (pinned, in cone), so nothing is cleared or allocated
+/// per call once the table covers the netlist.
+struct MffcMarks {
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t next = 0;
+
+  /// Returns the call's "pinned" stamp; "in cone" is that plus one.
+  std::uint32_t begin(std::size_t slots) {
+    if (stamp.size() < slots) stamp.resize(slots, 0);
+    if (next > std::numeric_limits<std::uint32_t>::max() - 2) {
+      std::fill(stamp.begin(), stamp.end(), 0);
+      next = 0;
+    }
+    next += 2;
+    return next - 1;
+  }
+};
+
+}  // namespace
+
 std::vector<GateId> Netlist::mffc(GateId g,
                                   const std::vector<GateId>& keep_alive) const {
   // Gates that die if g loses all fanout: g itself plus, transitively, each
   // fanin whose every fanout lies inside the cone built so far.
   std::vector<GateId> cone;
   if (kind_[g] != GateKind::kCell) return cone;
-  std::vector<std::uint8_t> pinned(kind_.size(), 0);
+  thread_local MffcMarks marks;
+  const std::uint32_t pinned = marks.begin(kind_.size());
+  const std::uint32_t in_cone = pinned + 1;
+  std::vector<std::uint32_t>& stamp = marks.stamp;
   for (GateId k : keep_alive)
-    if (k != g) pinned[k] = 1;
-  std::vector<std::uint8_t> in_cone(kind_.size(), 0);
+    if (k != g) stamp[k] = pinned;
   cone.push_back(g);
-  in_cone[g] = 1;
+  stamp[g] = in_cone;
+  // A fanin is absorbable when it is an unseen cell whose every fanout is
+  // already inside the cone.
+  auto absorbable = [&](GateId fi) {
+    if (stamp[fi] >= pinned || kind_[fi] != GateKind::kCell) return false;
+    for (const FanoutRef& br : fanouts(fi))
+      if (stamp[br.gate] != in_cone) return false;
+    return true;
+  };
   // Process in reverse-topological manner: repeatedly try to absorb fanins.
   for (std::size_t i = 0; i < cone.size(); ++i) {
     for (GateId fi : fanins(cone[i])) {
-      if (in_cone[fi] || pinned[fi] || kind_[fi] != GateKind::kCell) continue;
-      bool all_inside = true;
-      for (const FanoutRef& br : fanouts(fi)) {
-        if (!in_cone[br.gate]) {
-          all_inside = false;
-          break;
-        }
-      }
-      if (all_inside) {
-        in_cone[fi] = 1;
+      if (absorbable(fi)) {
+        stamp[fi] = in_cone;
         cone.push_back(fi);
       }
     }
@@ -659,16 +686,8 @@ std::vector<GateId> Netlist::mffc(GateId g,
     changed = false;
     for (std::size_t i = 0; i < cone.size(); ++i) {
       for (GateId fi : fanins(cone[i])) {
-        if (in_cone[fi] || pinned[fi] || kind_[fi] != GateKind::kCell)
-          continue;
-        bool all_inside = true;
-        for (const FanoutRef& br : fanouts(fi))
-          if (!in_cone[br.gate]) {
-            all_inside = false;
-            break;
-          }
-        if (all_inside) {
-          in_cone[fi] = 1;
+        if (absorbable(fi)) {
+          stamp[fi] = in_cone;
           cone.push_back(fi);
           changed = true;
         }

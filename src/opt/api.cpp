@@ -160,6 +160,14 @@ std::string PowderReport::to_json() const {
     os << "}";
   }
   os << "}}";
+  os << ",\"delay_checks\":{";
+  bool dc = true;
+  append_field(os, "checks", diagnostics.delay_checks.checks, &dc);
+  append_field(os, "overlay_visits", diagnostics.delay_checks.overlay_visits,
+               &dc);
+  append_field(os, "full_equiv_visits",
+               diagnostics.delay_checks.full_equiv_visits, &dc);
+  os << "}";
   os << ",\"power_model\":{";
   bool pf = false;
   os << "\"kind\":\"" << diagnostics.power_model.kind << "\"";

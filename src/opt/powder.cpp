@@ -475,20 +475,18 @@ bool PowderOptimizer::violates_delay(const CandidateSub& sub, double limit,
                                      IncrementalTiming& timing,
                                      PowderReport::Diagnostics& diag) const {
   if (!std::isfinite(limit)) return false;
-  // Apply on a scratch copy — exact and side-effect free. The copy starts
-  // with no observers, so the seeded incremental STA attaches fresh and
-  // only re-propagates the substitution's dirty region; the early-cutoff
-  // propagation is bit-identical to a full analyze_timing on the mutated
-  // scratch.
-  Netlist scratch = *netlist_;
-  IncrementalTiming scratch_ta(scratch, timing);
-  (void)apply_substitution(scratch, sub);
-  const bool violates = scratch_ta.circuit_delay() > limit + 1e-9;
-  diag.sta_incremental_visits +=
-      static_cast<long>(scratch_ta.nodes_visited());
-  diag.sta_full_equiv_visits +=
-      static_cast<long>(scratch_ta.full_equiv_visits());
-  return violates;
+  // Overlay the planned edit on the live arrival times: only the gates the
+  // edit touches and their forward cone are re-evaluated, bit-identically
+  // to a full analyze_timing of the edited netlist.
+  (void)timing.circuit_delay();  // brings the live arrival times up to date
+  std::uint64_t visits = 0;
+  const double delay =
+      timing.trial_delay(plan_substitution(*netlist_, sub), &visits);
+  ++diag.delay_checks.checks;
+  diag.delay_checks.overlay_visits += static_cast<long>(visits);
+  diag.delay_checks.full_equiv_visits +=
+      static_cast<long>(timing.live_gates());
+  return delay > limit + 1e-9;
 }
 
 PowderReport PowderOptimizer::run() {
@@ -671,7 +669,8 @@ PowderReport PowderOptimizer::run() {
   verify_sim.set_thread_pool(&pool);
   verify_sim.set_trace(trace, component_metrics);
   // Incremental STA over the main netlist: stays coherent through the delta
-  // bus and seeds the per-candidate scratch analyses of violates_delay.
+  // bus, and violates_delay overlays each candidate edit on its arrival
+  // times.
   IncrementalTiming timing(*netlist_);
   timing.set_trace(trace, component_metrics);
 
@@ -1684,10 +1683,12 @@ PowderReport PowderOptimizer::run() {
   report.diagnostics.power_model.pgc_cone_gates = m_pgc_cone.delta();
   report.diagnostics.power_model.pgc_fallback_pairs = m_pgc_fallback.delta();
   report.final_delay = timing.circuit_delay();
-  report.diagnostics.sta_incremental_visits +=
-      static_cast<long>(timing.nodes_visited());
-  report.diagnostics.sta_full_equiv_visits +=
-      static_cast<long>(timing.full_equiv_visits());
+  report.diagnostics.sta_incremental_visits =
+      static_cast<long>(timing.nodes_visited()) +
+      report.diagnostics.delay_checks.overlay_visits;
+  report.diagnostics.sta_full_equiv_visits =
+      static_cast<long>(timing.full_equiv_visits()) +
+      report.diagnostics.delay_checks.full_equiv_visits;
   report.diagnostics.deltas_published = static_cast<long>(
       netlist_->deltas_published() - deltas_before);
   report.diagnostics.observer_notifications = static_cast<long>(

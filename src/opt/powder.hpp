@@ -377,8 +377,11 @@ struct PowderReport {
     // Incremental-core accounting (DESIGN.md §6).
     long deltas_published = 0;        ///< netlist deltas this run published
     long observer_notifications = 0;  ///< delta deliveries to subscribers
-    long sta_incremental_visits = 0;  ///< gates the incremental STA touched
-    long sta_full_equiv_visits = 0;   ///< what full STA would have touched
+    /// Gates the incremental STA evaluated: live refreshes plus the delay
+    /// checks' overlays (delay_checks.overlay_visits).
+    long sta_incremental_visits = 0;
+    /// What full STAs would have evaluated for the same refreshes and checks.
+    long sta_full_equiv_visits = 0;
     /// Candidate-index work on iterations >= 2 (iteration 1 is always a
     /// full build): gates re-hashed vs the index size at those refreshes.
     long candidate_gates_refreshed = 0;
@@ -418,6 +421,16 @@ struct PowderReport {
       long harvest_truncated = 0;  ///< candidates dropped by max_candidates
     };
     Resub resub;
+
+    /// Delay checks (§3.4) evaluated against a finite limit: each overlays
+    /// the candidate edit on the live STA. Reject ratio =
+    /// rejected_by_delay / checks; work per check = overlay_visits / checks.
+    struct DelayChecks {
+      long checks = 0;
+      long overlay_visits = 0;     ///< gates the overlays evaluated
+      long full_equiv_visits = 0;  ///< live topo size, summed per check
+    };
+    DelayChecks delay_checks;
 
     /// Power-model accounting (schema version 4). `kind` is the
     /// power_model_name() spelling; the remaining fields are zero for the
@@ -481,10 +494,11 @@ class PowderOptimizer {
   /// pi_probs size/range mismatch, empty shortlist, ...).
   void validate_options() const;
 
-  /// Applies the delay check of §3.4 on a scratch copy of the netlist,
-  /// using an incremental STA seeded from `timing` (the main netlist's
-  /// analysis) so only the substitution's dirty region is re-propagated.
-  /// Visit counts are accumulated into `diag`.
+  /// The delay check of §3.4: the circuit delay `sub` would produce,
+  /// computed by overlaying its plan on `timing` (the main netlist's
+  /// analysis) without copying or mutating the netlist. Returns false at
+  /// once when `limit` is infinite; otherwise the check is counted in
+  /// `diag.delay_checks`.
   bool violates_delay(const CandidateSub& sub, double limit,
                       IncrementalTiming& timing,
                       PowderReport::Diagnostics& diag) const;

@@ -80,31 +80,6 @@ double words_activity(std::span<const std::uint64_t> words) {
   return 2.0 * p * (1.0 - p);
 }
 
-namespace {
-
-/// True when the substitution removes the whole dominated region of the
-/// target (stem substitution, or the branch is the stem's only fanout).
-/// When the replacement itself reads the target (e.g. rewiring a branch of
-/// `a` to an inverter of `a`), the target stays alive and nothing dies.
-bool removes_dominated_region(const Netlist& netlist,
-                              const CandidateSub& sub) {
-  for (int i = 0; i < sub.rep.num_sources(); ++i)
-    if (sub.rep.source(i) == sub.target) return false;
-  if (!sub.branch.has_value()) return true;
-  return netlist.num_fanouts(sub.target) == 1;
-}
-
-/// The replacement's divisor set, for MFFC keep-alive computations.
-std::vector<GateId> replacement_sources(const CandidateSub& sub) {
-  std::vector<GateId> keep_alive;
-  keep_alive.reserve(static_cast<std::size_t>(sub.rep.num_sources()));
-  for (int i = 0; i < sub.rep.num_sources(); ++i)
-    keep_alive.push_back(sub.rep.source(i));
-  return keep_alive;
-}
-
-}  // namespace
-
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
                     const CandidateSub& sub) {
   if (netlist.kind(sub.target) != GateKind::kCell ||

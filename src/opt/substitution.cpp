@@ -23,51 +23,51 @@ const char* subst_class_name(SubstClass c) { return resub_class_name(c); }
 
 namespace {
 
-/// Builds the substituting signal in the netlist: the existing signal, an
-/// inserted inverter, an inserted constant gate, or the new 2-input gate.
-GateId build_replacement_driver(Netlist& netlist, const CandidateSub& sub,
-                                AppliedSub* applied) {
+/// Everything apply_substitution validates before its first mutation, so a
+/// CheckError never leaves the netlist half-modified.
+void check_applicable(const Netlist& netlist, const CandidateSub& sub) {
+  POWDER_CHECK_MSG(substitution_still_valid(netlist, sub),
+                   "applying a stale substitution");
   const CellLibrary& lib = netlist.library();
   switch (sub.rep.kind) {
-    case ReplacementFunction::Kind::kConstant: {
-      const CellId cid =
-          sub.rep.constant_value ? lib.const1() : lib.const0();
-      POWDER_CHECK_MSG(cid != kInvalidCell, "library lacks constant cells");
-      const GateId g = netlist.add_gate(cid, {});
-      applied->new_gate = g;
-      applied->area_delta += lib.cell(cid).area;
-      return g;
-    }
-    case ReplacementFunction::Kind::kSignal: {
-      if (!sub.rep.invert_b) return sub.rep.b;
-      const CellId inv = lib.inverter();
-      POWDER_CHECK_MSG(inv != kInvalidCell, "library lacks an inverter");
-      const GateId g = netlist.add_gate(inv, {sub.rep.b});
-      applied->new_gate = g;
-      applied->area_delta += lib.cell(inv).area;
-      return g;
-    }
-    case ReplacementFunction::Kind::kTwoInput: {
+    case ReplacementFunction::Kind::kConstant:
+      POWDER_CHECK_MSG((sub.rep.constant_value ? lib.const1()
+                                               : lib.const0()) != kInvalidCell,
+                       "library lacks constant cells");
+      break;
+    case ReplacementFunction::Kind::kSignal:
+      if (sub.rep.invert_b)
+        POWDER_CHECK_MSG(lib.inverter() != kInvalidCell,
+                         "library lacks an inverter");
+      break;
+    case ReplacementFunction::Kind::kTwoInput:
       POWDER_CHECK(sub.new_cell != kInvalidCell);
       POWDER_CHECK(!sub.rep.invert_b && !sub.rep.invert_c);
-      const GateId g =
-          netlist.add_gate(sub.new_cell, {sub.rep.b, sub.rep.c});
-      applied->new_gate = g;
-      applied->area_delta += lib.cell(sub.new_cell).area;
-      return g;
-    }
-    case ReplacementFunction::Kind::kCell: {
+      break;
+    case ReplacementFunction::Kind::kCell:
       POWDER_CHECK(sub.new_cell != kInvalidCell);
-      const GateId g = netlist.add_gate(sub.new_cell, sub.rep.divisors);
-      applied->new_gate = g;
-      applied->area_delta += lib.cell(sub.new_cell).area;
-      return g;
-    }
+      POWDER_CHECK(!sub.rep.divisors.empty());
+      break;
   }
-  POWDER_CHECK(false);
 }
 
 }  // namespace
+
+std::vector<GateId> replacement_sources(const CandidateSub& sub) {
+  std::vector<GateId> sources;
+  sources.reserve(static_cast<std::size_t>(sub.rep.num_sources()));
+  for (int i = 0; i < sub.rep.num_sources(); ++i)
+    sources.push_back(sub.rep.source(i));
+  return sources;
+}
+
+bool removes_dominated_region(const Netlist& netlist,
+                              const CandidateSub& sub) {
+  for (int i = 0; i < sub.rep.num_sources(); ++i)
+    if (sub.rep.source(i) == sub.target) return false;
+  if (!sub.branch.has_value()) return true;
+  return netlist.num_fanouts(sub.target) == 1;
+}
 
 bool substitution_still_valid(const Netlist& netlist,
                               const CandidateSub& sub) {
@@ -108,37 +108,66 @@ bool substitution_still_valid(const Netlist& netlist,
   return true;
 }
 
-AppliedSub apply_substitution(Netlist& netlist, const CandidateSub& sub) {
-  POWDER_CHECK_MSG(substitution_still_valid(netlist, sub),
-                   "applying a stale substitution");
-  // Validate library capabilities before the first structural edit so that
-  // a CheckError never leaves the netlist half-modified.
-  {
-    const CellLibrary& lib = netlist.library();
-    switch (sub.rep.kind) {
-      case ReplacementFunction::Kind::kConstant:
-        POWDER_CHECK_MSG((sub.rep.constant_value ? lib.const1()
-                                                 : lib.const0()) !=
-                             kInvalidCell,
-                         "library lacks constant cells");
-        break;
-      case ReplacementFunction::Kind::kSignal:
-        if (sub.rep.invert_b)
-          POWDER_CHECK_MSG(lib.inverter() != kInvalidCell,
-                           "library lacks an inverter");
-        break;
-      case ReplacementFunction::Kind::kTwoInput:
-        POWDER_CHECK(sub.new_cell != kInvalidCell);
-        POWDER_CHECK(!sub.rep.invert_b && !sub.rep.invert_c);
-        break;
-      case ReplacementFunction::Kind::kCell:
-        POWDER_CHECK(sub.new_cell != kInvalidCell);
-        POWDER_CHECK(!sub.rep.divisors.empty());
-        break;
-    }
+EditPlan plan_substitution(const Netlist& netlist, const CandidateSub& sub) {
+  check_applicable(netlist, sub);
+  const CellLibrary& lib = netlist.library();
+  EditPlan plan;
+  plan.target = sub.target;
+  // The replacement driver: the existing signal, or an inserted inverter,
+  // constant or library gate over the divisor set.
+  GateId driver = kNullGate;
+  switch (sub.rep.kind) {
+    case ReplacementFunction::Kind::kConstant:
+      plan.new_cell = sub.rep.constant_value ? lib.const1() : lib.const0();
+      break;
+    case ReplacementFunction::Kind::kSignal:
+      if (sub.rep.invert_b) {
+        plan.new_cell = lib.inverter();
+        plan.new_fanins = {sub.rep.b};
+      } else {
+        driver = sub.rep.b;
+      }
+      break;
+    case ReplacementFunction::Kind::kTwoInput:
+      plan.new_cell = sub.new_cell;
+      plan.new_fanins = {sub.rep.b, sub.rep.c};
+      break;
+    case ReplacementFunction::Kind::kCell:
+      plan.new_cell = sub.new_cell;
+      plan.new_fanins = sub.rep.divisors;
+      break;
   }
+  if (driver == kNullGate) {
+    plan.new_gate = static_cast<GateId>(netlist.num_slots());
+    driver = plan.new_gate;
+  }
+
+  if (sub.branch.has_value()) {
+    plan.rewired_pins.push_back(
+        RewiredPin{sub.branch->gate, sub.branch->pin,
+                   netlist.fanin(sub.branch->gate, sub.branch->pin), driver});
+  } else {
+    for (const FanoutRef& br : netlist.fanouts(sub.target))
+      plan.rewired_pins.push_back(
+          RewiredPin{br.gate, br.pin, sub.target, driver});
+  }
+
+  if (netlist.kind(sub.target) == GateKind::kCell &&
+      removes_dominated_region(netlist, sub))
+    plan.removed_gates = netlist.mffc(sub.target, replacement_sources(sub));
+  return plan;
+}
+
+AppliedSub apply_substitution(Netlist& netlist, const CandidateSub& sub) {
+  const EditPlan plan = plan_substitution(netlist, sub);
   AppliedSub applied;
-  const GateId driver = build_replacement_driver(netlist, sub, &applied);
+  GateId driver = plan.new_driver();
+  if (plan.new_gate != kNullGate) {
+    driver = netlist.add_gate(plan.new_cell, plan.new_fanins);
+    POWDER_DCHECK(driver == plan.new_gate);
+    applied.new_gate = driver;
+    applied.area_delta += netlist.library().cell(plan.new_cell).area;
+  }
 
   if (sub.branch.has_value()) {
     const GateId old_driver =

@@ -15,18 +15,11 @@
 #include <vector>
 
 #include "atpg/atpg.hpp"
+#include "netlist/edit_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "opt/transform.hpp"
 
 namespace powder {
-
-/// One rewired input pin, with enough context to rewire it back.
-struct RewiredPin {
-  GateId sink = kNullGate;
-  int pin = 0;
-  GateId old_driver = kNullGate;
-  GateId new_driver = kNullGate;
-};
 
 /// One cell swap (gate re-sizing), with enough context to swap it back.
 struct ResizedCell {
@@ -61,6 +54,21 @@ struct AppliedSub {
 /// capabilities) happens before the first mutation, so a CheckError from
 /// here leaves the netlist untouched.
 AppliedSub apply_substitution(Netlist& netlist, const CandidateSub& sub);
+
+/// Describes the edit apply_substitution(netlist, sub) would make, without
+/// making it: the inserted gate (under the slot id it would get), the
+/// rewired pins in apply order, and the swept cone. Side-effect free; it
+/// throws the same CheckError apply_substitution would, before any work.
+EditPlan plan_substitution(const Netlist& netlist, const CandidateSub& sub);
+
+/// The replacement's divisor set: the signals an MFFC sweep must keep alive.
+std::vector<GateId> replacement_sources(const CandidateSub& sub);
+
+/// True when the substitution leaves the target fanout-free, so its whole
+/// dominated region dies: a stem substitution, or the branch was the
+/// stem's only fanout — unless the replacement itself reads the target
+/// (e.g. rewiring a branch of `a` to an inverter of `a`).
+bool removes_dominated_region(const Netlist& netlist, const CandidateSub& sub);
 
 /// Cheap structural validity: every referenced gate alive, the branch still
 /// wired to the target, sources outside the faulty region (no cycles).

@@ -22,11 +22,21 @@
 // pass's bread and butter — take the incremental required path. When the
 // delay target is derived from the circuit's own delay (constraint < 0),
 // any change of the max PO arrival also forces a full required pass.
+//
+// The greedy loop's delay check (paper §3.4) asks what the circuit delay
+// would be after a candidate edit, without making it: trial_delay() takes
+// the edit as an EditPlan and overlays it on the live arrival times. Only
+// the gates whose load or fanins the edit changes are recomputed, plus the
+// forward cone their new arrivals reach; everything else reads the live
+// values. The overlay's scratch is stamped per check, so a check costs
+// nothing proportional to the netlist and the netlist is never copied.
 
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
+#include "netlist/edit_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "timing/timing.hpp"
 #include "util/gate_map.hpp"
@@ -43,10 +53,13 @@ class IncrementalTiming final : public NetlistObserver {
   /// circuit's own delay (zero-slack critical path), like analyze_timing.
   explicit IncrementalTiming(const Netlist& netlist, double constraint = -1.0);
 
-  /// Seeded construction for scratch copies: `netlist` must be structurally
-  /// identical to `seed`'s netlist (e.g. a fresh copy of it). Arrival state
-  /// is transplanted from `seed` (which is refreshed first) so the scratch
-  /// analysis starts warm and only re-propagates the trial mutations.
+  /// Seeded construction for a structural twin: `netlist` must be
+  /// structurally identical to `seed`'s netlist (e.g. a fresh copy of it).
+  /// Arrival state is transplanted from `seed` (which is refreshed first)
+  /// so the analysis starts warm and only re-propagates mutations made to
+  /// the twin afterwards. Used by reference checks and by benchmarks that
+  /// time a copy-based evaluation; the optimizer's delay check uses
+  /// trial_delay instead.
   IncrementalTiming(const Netlist& netlist, IncrementalTiming& seed);
 
   ~IncrementalTiming() override;
@@ -74,6 +87,19 @@ class IncrementalTiming final : public NetlistObserver {
   double arrival(GateId g);
   double required(GateId g);
   double slack(GateId g);
+
+  /// Circuit delay the netlist would have after applying `plan`, computed
+  /// without applying it: bit-identical to analyze_timing() on the edited
+  /// netlist. Needs refreshed arrival times (call circuit_delay() first).
+  /// Const towards the analysis, but it reuses internal scratch, so calls
+  /// must not overlap (the optimizer's single commit thread makes them).
+  /// `visits` (optional) receives the number of gate evaluations.
+  double trial_delay(const EditPlan& plan,
+                     std::uint64_t* visits = nullptr) const;
+
+  /// Live gates in the current topological order: what a full forward STA
+  /// evaluates.
+  std::size_t live_gates() const { return topo_.size(); }
 
   // Diagnostics: gates actually re-evaluated by refreshes, and what a full
   // forward+backward STA would have evaluated for the same refreshes.
@@ -105,6 +131,19 @@ class IncrementalTiming final : public NetlistObserver {
 
   std::uint64_t nodes_visited_ = 0;
   std::uint64_t full_equiv_visits_ = 0;
+
+  // trial_delay scratch. A slot belongs to the current check only when its
+  // stamp equals trial_stamp_; the table grows with the netlist (one slot
+  // past it for the planned inserted gate) and is never cleared per check.
+  struct TrialSlot {
+    double arrival = 0.0;
+    std::uint32_t stamp = 0;
+    std::uint8_t flags = 0;
+  };
+  mutable std::vector<TrialSlot> trial_;
+  mutable std::uint32_t trial_stamp_ = 0;
+  mutable std::vector<std::pair<std::uint32_t, GateId>> trial_heap_;
+  mutable std::vector<GateId> trial_written_;
 
   TraceSession* trace_ = nullptr;
   class Counter* m_resyncs_ = nullptr;

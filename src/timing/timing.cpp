@@ -9,8 +9,7 @@ namespace powder {
 
 double gate_delay(const Netlist& netlist, GateId g) {
   if (netlist.kind(g) != GateKind::kCell) return 0.0;
-  const Cell& c = netlist.cell_of(g);
-  return c.intrinsic_delay + netlist.signal_cap(g) * c.drive_resistance;
+  return cell_delay(netlist.cell_of(g), netlist.signal_cap(g));
 }
 
 TimingAnalysis analyze_timing(const Netlist& netlist, double constraint) {

@@ -18,6 +18,12 @@ struct TimingAnalysis {
   double slack(GateId g) const { return required[g] - arrival[g]; }
 };
 
+/// Delay of a cell driving `load`: tau + C * R. The one spelling of the
+/// formula, so every caller rounds it identically.
+inline double cell_delay(const Cell& cell, double load) {
+  return cell.intrinsic_delay + load * cell.drive_resistance;
+}
+
 /// Delay of one gate given its current load.
 double gate_delay(const Netlist& netlist, GateId g);
 
