@@ -11,6 +11,7 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
 namespace powder {
@@ -235,6 +236,28 @@ AtpgResult SatChecker::check_replacement_impl(const ReplacementSite& site,
       return AtpgResult::kAborted;
   }
   POWDER_CHECK(false);
+}
+
+AtpgResult prove_replacement(AtpgChecker& atpg, SatChecker& sat,
+                             ProofEngine engine, const ReplacementSite& site,
+                             const ReplacementFunction& rep) {
+  try {
+    if (inject_fault(FaultInjector::Site::kProofTransient))
+      throw Error::proof_engine("injected proof-engine failure");
+    switch (engine) {
+      case ProofEngine::kPodem:
+        return atpg.check_replacement(site, rep);
+      case ProofEngine::kSat:
+        return sat.check_replacement(site, rep);
+      case ProofEngine::kHybrid: {
+        const AtpgResult r = atpg.check_replacement(site, rep);
+        if (r != AtpgResult::kAborted) return r;
+        return sat.check_replacement(site, rep);
+      }
+    }
+  } catch (const CheckError&) {
+  }
+  return AtpgResult::kAborted;
 }
 
 }  // namespace powder

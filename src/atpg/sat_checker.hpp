@@ -67,4 +67,13 @@ class SatChecker {
 ///            default.
 enum class ProofEngine { kPodem, kSat, kHybrid };
 
+/// The one permissibility proof every optimizer path runs: `engine` settles
+/// the replacement (kHybrid escalates an aborted PODEM run to SAT). An
+/// engine that throws a CheckError yields kAborted — a sound rejection; the
+/// engines are deterministic, so retrying the same input would throw again.
+/// Fault-injection site kProofTransient makes the engine throw here.
+AtpgResult prove_replacement(AtpgChecker& atpg, SatChecker& sat,
+                             ProofEngine engine, const ReplacementSite& site,
+                             const ReplacementFunction& rep);
+
 }  // namespace powder

@@ -100,20 +100,18 @@ std::string PowderReport::to_json() const {
   append_field(os, "budget_exhausted", diagnostics.budget_exhausted, &df);
   append_field(os, "deadline_hit", diagnostics.deadline_hit, &df);
   append_field(os, "degradation_events", diagnostics.degradation_events, &df);
-  append_field(os, "retries", diagnostics.retries, &df);
-  append_field(os, "watchdog_requeues", diagnostics.watchdog_requeues, &df);
+  // Retired within schema 5 (DESIGN.md §11.4): written as literal 0.
+  append_field(os, "retries", 0L, &df);
+  append_field(os, "watchdog_requeues", 0L, &df);
   append_field(os, "checkpoint_frames", diagnostics.checkpoint_frames, &df);
   append_field(os, "resume_replayed", diagnostics.resume_replayed, &df);
   append_field(os, "checkpoint_disabled", diagnostics.checkpoint_disabled,
                &df);
   append_field(os, "mem_limit_hit", diagnostics.mem_limit_hit, &df);
   append_field(os, "threads_used", diagnostics.threads_used, &df);
-  append_field(os, "proof_jobs_enqueued", diagnostics.proof_jobs_enqueued,
-               &df);
-  append_field(os, "speculative_proof_hits",
-               diagnostics.speculative_proof_hits, &df);
-  append_field(os, "stale_proofs_dropped", diagnostics.stale_proofs_dropped,
-               &df);
+  append_field(os, "proof_jobs_enqueued", 0L, &df);     // retired
+  append_field(os, "speculative_proof_hits", 0L, &df);  // retired
+  append_field(os, "stale_proofs_dropped", 0L, &df);    // retired
   append_field(os, "inline_proofs", diagnostics.inline_proofs, &df);
   append_field(os, "deltas_published", diagnostics.deltas_published, &df);
   append_field(os, "observer_notifications",

@@ -1,21 +1,17 @@
 #include "opt/powder.hpp"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <optional>
-#include <set>
-#include <shared_mutex>
 #include <thread>
 #include <unordered_set>
 
 #include "bdd/netlist_bdd.hpp"
 #include "opt/funcred.hpp"
 #include "opt/journal.hpp"
+#include "opt/power_gain.hpp"
 #include "opt/selection.hpp"
 #include "power/attribution.hpp"
 #include "power/power.hpp"
@@ -30,7 +26,6 @@
 #include "util/error.hpp"
 #include "util/memstats.hpp"
 #include "util/fault_injection.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "window/extract.hpp"
 #include "window/partition.hpp"
@@ -72,56 +67,6 @@ bool corrupt_candidate(const Netlist& nl, const Simulator& sim,
   return false;
 }
 
-/// One permissibility check with the configured engine (hybrid escalates an
-/// aborted PODEM run to the SAT miter). Used identically by the commit
-/// thread and the proof workers, so a verdict depends only on the netlist
-/// state and the candidate — never on which thread produced it.
-AtpgResult prove_one(AtpgChecker& atpg, SatChecker& sat, ProofEngine engine,
-                     const CandidateSub& cand) {
-  switch (engine) {
-    case ProofEngine::kPodem:
-      return atpg.check_replacement(cand.site(), cand.rep);
-    case ProofEngine::kSat:
-      return sat.check_replacement(cand.site(), cand.rep);
-    case ProofEngine::kHybrid: {
-      const AtpgResult r = atpg.check_replacement(cand.site(), cand.rep);
-      if (r != AtpgResult::kAborted) return r;
-      return sat.check_replacement(cand.site(), cand.rep);
-    }
-  }
-  return AtpgResult::kAborted;
-}
-
-/// prove_one with transient-failure isolation: an engine that *throws*
-/// (rather than returning a verdict) is retried up to `max_retries` times
-/// with capped exponential backoff, then the candidate is treated as
-/// kAborted — a sound rejection, never an unproven acceptance. Shared by
-/// the commit thread and the proof workers; the chaos site kProofTransient
-/// exercises the retry path deterministically.
-AtpgResult prove_with_retry(AtpgChecker& atpg, SatChecker& sat,
-                            ProofEngine engine, const CandidateSub& cand,
-                            int max_retries, Counter* retries) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (inject_fault(FaultInjector::Site::kProofTransient))
-        throw Error::proof_engine("injected transient proof failure");
-      return prove_one(atpg, sat, engine, cand);
-    } catch (const CheckError&) {
-      if (attempt >= max_retries) return AtpgResult::kAborted;
-      if (retries != nullptr) retries->inc();
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(1LL << std::min(attempt, 3)));
-    }
-  }
-}
-
-/// Total order over a candidate's proof obligation (site + replacement):
-/// the cache key of the speculative proof pipeline.
-struct ProofKey {
-  std::array<long long, 12> v{};
-  bool operator<(const ProofKey& o) const { return v < o.v; }
-};
-
 const char* engine_name(ProofEngine e) {
   switch (e) {
     case ProofEngine::kPodem: return "podem";
@@ -149,232 +94,6 @@ const char* rep_kind_name(ReplacementFunction::Kind k) {
   }
   return "?";
 }
-
-ProofKey make_key(const CandidateSub& cand) {
-  long long tt = 0;
-  if (cand.rep.kind == ReplacementFunction::Kind::kTwoInput)
-    for (int m = 0; m < 4; ++m)
-      if (cand.rep.two_input_fn.bit(m)) tt |= 1ll << m;
-  if (cand.rep.kind == ReplacementFunction::Kind::kCell) {
-    // Fold the ordered divisor set and the k-var function into one FNV
-    // digest; b/c stay kNullGate for kCell, so the digest disambiguates.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xFF;
-        h *= 1099511628211ull;
-      }
-    };
-    for (const GateId d : cand.rep.divisors) mix(d);
-    const std::uint64_t minterms = cand.rep.two_input_fn.num_vars() > 0
-        ? cand.rep.two_input_fn.num_minterms_capacity() : 0;
-    for (std::uint64_t m = 0; m < minterms; ++m)
-      mix(cand.rep.two_input_fn.bit(m) ? 1 : 0);
-    tt = static_cast<long long>(h);
-  }
-  ProofKey k;
-  k.v = {static_cast<long long>(cand.cls),
-         static_cast<long long>(cand.target),
-         cand.branch ? static_cast<long long>(cand.branch->gate) : -1,
-         cand.branch ? static_cast<long long>(cand.branch->pin) : -1,
-         static_cast<long long>(cand.rep.kind),
-         cand.rep.constant_value ? 1 : 0,
-         static_cast<long long>(cand.rep.b),
-         cand.rep.invert_b ? 1 : 0,
-         static_cast<long long>(cand.rep.c),
-         cand.rep.invert_c ? 1 : 0,
-         tt,
-         static_cast<long long>(cand.new_cell)};
-  return k;
-}
-
-/// Speculative proof pipeline: N workers pop candidate proofs from a
-/// bounded MPMC queue, prove them against the *current* netlist under a
-/// shared lock, and cache the verdict. The single commit thread enqueues
-/// shortlist candidates, looks verdicts up before proving inline, and
-/// brackets every netlist mutation with begin/end_mutation — which bumps
-/// the version (invalidating queued jobs), clears the cache, and takes the
-/// lock exclusively so no worker reads a half-mutated netlist. Verdicts are
-/// pure functions of (netlist state, candidate), so a cache hit equals the
-/// proof the serial code would have run — results stay bit-identical.
-class ProofPipeline {
- public:
-  ProofPipeline(const Netlist& netlist, const AtpgOptions& atpg_options,
-                const SatCheckerOptions& sat_options, ProofEngine engine,
-                int num_workers, TraceSession* trace = nullptr,
-                int proof_retries = 0, double watchdog_seconds = -1.0,
-                Counter* retries_counter = nullptr,
-                Counter* watchdog_counter = nullptr)
-      : netlist_(&netlist),
-        engine_(engine),
-        queue_(256),
-        trace_(trace),
-        proof_retries_(proof_retries),
-        watchdog_seconds_(watchdog_seconds),
-        retries_counter_(retries_counter),
-        watchdog_counter_(watchdog_counter) {
-    workers_.reserve(static_cast<std::size_t>(num_workers));
-    for (int i = 0; i < num_workers; ++i)
-      workers_.emplace_back([this, atpg_options, sat_options] {
-        worker_loop(atpg_options, sat_options);
-      });
-  }
-
-  ~ProofPipeline() { shutdown(); }
-
-  void shutdown() {
-    if (shut_down_) return;
-    shut_down_ = true;
-    queue_.close();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  /// Hands a candidate's proof to the workers unless it is already proved,
-  /// already in flight, or the queue is full (speculation is best-effort).
-  void speculate(const CandidateSub& cand) {
-    const ProofKey key = make_key(cand);
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      if (results_.count(key) != 0 || in_flight_.count(key) != 0) return;
-      in_flight_.insert(key);
-    }
-    ProofJob job{version_.load(std::memory_order_relaxed), cand};
-    if (!queue_.try_push(std::move(job))) {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      in_flight_.erase(key);
-      return;
-    }
-    ++jobs_enqueued_;
-  }
-
-  /// Cached verdict for `cand` (waiting for a worker that is mid-proof on
-  /// it); nullopt when the pipeline never got to this candidate. The wait
-  /// is bounded by the session watchdog: a worker that stalls past the
-  /// timeout is declared stuck and the obligation is requeued on the commit
-  /// thread (the straggler's late result is version-checked and dropped, so
-  /// a stuck worker costs latency, never correctness).
-  std::optional<AtpgResult> lookup(const CandidateSub& cand) {
-    const ProofKey key = make_key(cand);
-    std::unique_lock<std::mutex> lock(results_mutex_);
-    const auto not_in_flight = [&] { return in_flight_.count(key) == 0; };
-    if (watchdog_seconds_ > 0.0) {
-      if (!results_cv_.wait_for(
-              lock, std::chrono::duration<double>(watchdog_seconds_),
-              not_in_flight)) {
-        if (watchdog_counter_ != nullptr) watchdog_counter_->inc();
-        return std::nullopt;
-      }
-    } else {
-      results_cv_.wait(lock, not_in_flight);
-    }
-    const auto it = results_.find(key);
-    if (it == results_.end()) return std::nullopt;
-    ++speculative_hits_;
-    return it->second;
-  }
-
-  /// Must bracket every netlist mutation (apply or rollback).
-  void begin_mutation() {
-    version_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      results_.clear();
-    }
-    netlist_mutex_.lock();
-  }
-  void end_mutation() { netlist_mutex_.unlock(); }
-
-  long jobs_enqueued() const { return jobs_enqueued_; }
-  long speculative_hits() const { return speculative_hits_; }
-  long stale_dropped() const {
-    return stale_dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct ProofJob {
-    std::uint64_t version = 0;
-    CandidateSub cand;
-  };
-
-  void worker_loop(AtpgOptions atpg_options, SatCheckerOptions sat_options) {
-    // Worker-owned engines: the checkers keep per-check scratch state, so
-    // each worker needs its own pair (they share the atomic budget).
-    AtpgChecker atpg(*netlist_, atpg_options);
-    SatChecker sat(*netlist_, sat_options);
-    while (std::optional<ProofJob> job = queue_.pop()) {
-      const ProofKey key = make_key(job->cand);
-      // Injected stall (watchdog bait): the worker wedges *outside* the
-      // netlist lock, so only this job's consumers wait, never a commit.
-      if (inject_fault(FaultInjector::Site::kProofStall))
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      AtpgResult verdict{};
-      bool proved = false;
-      {
-        std::shared_lock<std::shared_mutex> lock(netlist_mutex_);
-        // A mutation bumps the version *before* it can take the lock, so a
-        // current version here guarantees the netlist matches the job.
-        if (job->version == version_.load(std::memory_order_relaxed)) {
-          TraceSpan span(trace_, "proof_job", "proof");
-          verdict = prove_with_retry(atpg, sat, engine_, job->cand,
-                                     proof_retries_, retries_counter_);
-          proved = true;
-          span.arg("target", static_cast<long long>(job->cand.target));
-          span.arg("verdict", static_cast<long long>(verdict));
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(results_mutex_);
-        in_flight_.erase(key);
-        if (proved &&
-            job->version == version_.load(std::memory_order_relaxed)) {
-          results_[key] = verdict;
-        } else {
-          stale_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      results_cv_.notify_all();
-    }
-  }
-
-  const Netlist* netlist_;
-  ProofEngine engine_;
-  MpmcQueue<ProofJob> queue_;
-  TraceSession* trace_;
-  int proof_retries_ = 0;
-  double watchdog_seconds_ = -1.0;
-  Counter* retries_counter_ = nullptr;
-  Counter* watchdog_counter_ = nullptr;
-  std::vector<std::thread> workers_;
-  bool shut_down_ = false;
-
-  std::shared_mutex netlist_mutex_;
-  std::atomic<std::uint64_t> version_{0};
-
-  std::mutex results_mutex_;
-  std::condition_variable results_cv_;
-  std::map<ProofKey, AtpgResult> results_;
-  std::set<ProofKey> in_flight_;
-
-  long jobs_enqueued_ = 0;     // commit thread only
-  long speculative_hits_ = 0;  // commit thread only
-  std::atomic<long> stale_dropped_{0};
-};
-
-/// RAII mutation bracket; no-op without a pipeline (threads == 1).
-class MutationScope {
- public:
-  explicit MutationScope(ProofPipeline* pipeline) : pipeline_(pipeline) {
-    if (pipeline_ != nullptr) pipeline_->begin_mutation();
-  }
-  ~MutationScope() {
-    if (pipeline_ != nullptr) pipeline_->end_mutation();
-  }
-  MutationScope(const MutationScope&) = delete;
-  MutationScope& operator=(const MutationScope&) = delete;
-
- private:
-  ProofPipeline* pipeline_;
-};
 
 }  // namespace
 
@@ -433,9 +152,6 @@ void PowderOptimizer::validate_options() const {
   POWDER_CHECK_MSG(o.session.mem_limit_bytes >= 0,
                    "PowderOptions.session.mem_limit_bytes must be "
                    "non-negative, got " << o.session.mem_limit_bytes);
-  POWDER_CHECK_MSG(o.session.proof_retries >= 0,
-                   "PowderOptions.session.proof_retries must be "
-                   "non-negative, got " << o.session.proof_retries);
   POWDER_CHECK_MSG(o.window.max_gates >= 2,
                    "PowderOptions.window.max_gates must be at least 2, got "
                        << o.window.max_gates);
@@ -556,10 +272,6 @@ PowderReport PowderOptimizer::run() {
                                  "Commits undone by the end-of-run check");
   const Meter m_inline = meter("powder_inline_proofs_total",
                                "Proofs run inline on the commit thread");
-  const Meter m_retries = meter("powder_proof_retries_total",
-                                "Transient proof failures retried");
-  const Meter m_watchdog = meter("powder_watchdog_requeues_total",
-                                 "Stuck proof jobs requeued inline");
   const Meter m_degraded =
       meter("powder_rejected_degraded_total",
             "Candidates rejected unproven by the degradation ladder");
@@ -631,9 +343,9 @@ PowderReport PowderOptimizer::run() {
                            options_.proof.engine, reg, audit);
   ladder.set_progress(prog);
 
-  // Shared pool for the data-parallel kernels (word-sharded simulation and
-  // the three-pass candidate harvest). Proof workers are separate dedicated
-  // threads — they block on the queue, not on pool work.
+  // Shared pool for the data-parallel kernels (word-sharded simulation, the
+  // three-pass candidate harvest) and the window fan-out. Proofs of the
+  // global loop run inline on this thread, the single commit thread.
   ThreadPool pool(threads - 1);
 
   MetricsRegistry* const component_metrics = options_.trace.metrics;
@@ -731,20 +443,6 @@ PowderReport PowderOptimizer::run() {
   AtpgChecker atpg(*netlist_, atpg_options);
   SatChecker sat(*netlist_, sat_options);
 
-  // Speculative proof workers (threads - 1 of them); null in serial mode,
-  // which keeps the exact single-threaded code path. The copied checker
-  // options carry the trace/metrics sinks into every worker's own engines.
-  // Windowed mode spends its threads on the window fan-out instead, and its
-  // results must not depend on the thread count — no speculation there.
-  std::optional<ProofPipeline> pipeline;
-  if (threads > 1 && !windowed)
-    pipeline.emplace(*netlist_, atpg_options, sat_options,
-                     options_.proof.engine, threads - 1, trace,
-                     options_.session.proof_retries,
-                     options_.session.watchdog_seconds, m_retries.c,
-                     m_watchdog.c);
-  ProofPipeline* pipe = pipeline.has_value() ? &*pipeline : nullptr;
-
   SubstJournal journal(netlist_);
   journal.set_trace(trace, component_metrics);
   // Per-commit accounting, aligned with the journal, so an end-of-run
@@ -802,16 +500,21 @@ PowderReport PowderOptimizer::run() {
   }
 
   // Decision audit: one NDJSON record per candidate the loop below settles.
-  // `audit_window` is -1 except while merging one window's commits, so a
-  // consumer can separate window-local decisions from global ones.
+  // `audit_window` is -1 except while merging one window's commits; it tags
+  // that merge's audit records, attribution, progress events and WAL
+  // frames. A ProofNote carries what the proof stage knew when a candidate
+  // was settled.
   long long audit_seq = 0;
   int audit_iteration = 0;
   int audit_window = -1;
+  struct ProofNote {
+    bool pg_c_known = false;
+    const char* engine = nullptr;
+    const char* verdict = nullptr;
+    double us = -1.0;
+  };
   auto audit_decision = [&](const CandidateSub& c, const char* decision,
-                            bool pg_c_known = false,
-                            const char* proof_engine = nullptr,
-                            const char* proof_verdict = nullptr,
-                            double proof_us = -1.0) {
+                            const ProofNote& note = {}) {
     if (audit == nullptr) return;
     AuditRecord r;
     r.seq = audit_seq++;
@@ -839,10 +542,10 @@ PowderReport PowderOptimizer::run() {
     r.pg_a = c.pg_a;
     r.pg_b = c.pg_b;
     r.pg_c = c.pg_c;
-    r.pg_c_known = pg_c_known;
-    r.proof_engine = proof_engine;
-    r.proof_verdict = proof_verdict;
-    r.proof_us = proof_us;
+    r.pg_c_known = note.pg_c_known;
+    r.proof_engine = note.engine;
+    r.proof_verdict = note.verdict;
+    r.proof_us = note.us;
     r.decision = decision;
     audit->write(r);
   };
@@ -873,6 +576,117 @@ PowderReport PowderOptimizer::run() {
   bool progress = true;
   bool stopped = false;
 
+  // ---- delay check (§3.4) ------------------------------------------------
+  // Against the parent's live arrival times; a violation is counted and
+  // audited here.
+  auto delay_ok = [&](const CandidateSub& cand, const ProofNote& note) {
+    TraceSpan delay_span(trace, "delay_check", "sta");
+    const bool violated = violates_delay(cand, report.delay_limit, timing,
+                                         report.diagnostics);
+    delay_span.arg("violated", violated ? 1 : 0);
+    if (!violated) return true;
+    m_delay.c->inc();
+    audit_decision(cand, "rejected_delay", note);
+    return false;
+  };
+
+  // Commit accounting, shared by the commit step and the pre-pass: class
+  // statistics, the rollback-aligned commit log, attribution, progress.
+  auto book_commit = [&](SubstClass cls, double power_before,
+                         double area_before) {
+    const double power_after = model.total_power();
+    const double power_delta = power_before - power_after;
+    const double area_delta = netlist_->total_area() - area_before;
+    ClassStats& stats = report.by_class[static_cast<std::size_t>(cls)];
+    ++stats.applied;
+    stats.power_delta += power_delta;
+    stats.area_delta += area_delta;
+    commit_log.push_back(CommitRecord{cls, power_delta, area_delta});
+    if (attr != nullptr)
+      attr->record_commit(static_cast<int>(cls), audit_window, power_delta);
+    if (prog != nullptr)
+      prog->commit(audit_iteration, subst_class_name(cls), audit_window,
+                   power_delta, power_after);
+    m_applied.c->inc();
+  };
+
+  // ---- the commit step: perform_substitution + power_estimate_update -----
+  // The one place a proved candidate reaches the netlist, for the global
+  // loop and the window merge alike: journal apply, resync, the PO-signature
+  // guard (rolling back on a mismatch), accounting, resume verification,
+  // the WAL frame and the "accepted" audit record. Returns the applied
+  // delta, or nullopt when the candidate was dropped; a rollback that fails
+  // (possible only with a corrupted journal) also sets `stopped`.
+  auto commit = [&](const CandidateSub& cand, int ordinal,
+                    const ProofNote& note) -> std::optional<AppliedSub> {
+    const double power_before = model.total_power();
+    const double area_before = netlist_->total_area();
+    const std::uint32_t wal_window =
+        audit_window < 0 ? kGlobalWindow
+                         : static_cast<std::uint32_t>(audit_window);
+    const bool replaying = resume.matches(cand);
+    AppliedSub applied;
+    try {
+      applied = journal.apply(cand);
+    } catch (const CheckError&) {
+      // Stale or invalid at the last moment: the apply validated before
+      // mutating, so the netlist is untouched — skip the candidate.
+      if (replaying)
+        throw Error::input(
+            "resume diverged: a checkpointed substitution failed to "
+            "re-apply (wrong input netlist or tampered log?)");
+      m_apply_fail.c->inc();
+      audit_decision(cand, "apply_failed", note);
+      return std::nullopt;
+    }
+    resync();
+    if (options_.check_invariants) netlist_->check_consistency();
+
+    if (options_.guard.signature_check && !po_signatures_ok()) {
+      if (replaying)
+        throw Error::input(
+            "resume diverged: the signature guard rejected a commit the "
+            "checkpoint recorded as accepted");
+      m_guard_rb.c->inc();
+      audit_decision(cand, "guard_rollback", note);
+      try {
+        journal.rollback_last();
+        resync();
+      } catch (const CheckError&) {
+        // The deltas that did execute were published, so the same resync
+        // still yields trustworthy caches. Stop committing and let the
+        // final guard judge.
+        resync();
+        stopped = true;
+      }
+      return std::nullopt;
+    }
+
+    book_commit(cand.cls, power_before, area_before);
+    if (resume.active()) {
+      // Replay verification: while the WAL cursor runs, every commit must
+      // be the next recorded one and reproduce its delta bit for bit. The
+      // merge order is deterministic, so this holds for window commits too.
+      const WalCommit& rec = resume.current();
+      if (!replaying || rec.window != wal_window ||
+          !same_applied(rec.applied, applied))
+        throw Error::input(
+            "resume diverged: a replayed commit no longer matches the "
+            "checkpoint");
+      resume.advance();
+    }
+    // Durable commit: the WAL frame is appended (and fsync'd) only after
+    // the signature guard accepted the commit, so a resume never replays
+    // a rolled-back substitution. A kill inside the frame write leaves a
+    // torn tail the reader drops — the commit then simply re-runs live
+    // on resume, with the same deterministic verdict.
+    recorder.record_commit(audit_iteration, ordinal, cand, applied,
+                           wal_window);
+    audit_decision(cand, "accepted", note);
+    progress = true;
+    return applied;
+  };
+
   // ---- functional-reduction pre-pass (DESIGN.md §12) ---------------------
   // Runs on the whole netlist before either main loop — including windowed
   // mode, where merging equivalent stems globally is both sound (each merge
@@ -892,15 +706,14 @@ PowderReport PowderOptimizer::run() {
       // unrecorded pair reaching this stage was rejected by it (the pass is
       // deterministic, so the nomination order replays identically).
       if (resume.prepass_active()) return resume.prepass_matches(cand);
-      const AtpgResult verdict =
-          prove_with_retry(atpg, sat, options_.proof.engine, cand,
-                           options_.session.proof_retries, m_retries.c);
+      const AtpgResult verdict = prove_replacement(
+          atpg, sat, options_.proof.engine, cand.site(), cand.rep);
       m_inline.c->inc();
       if (verdict != AtpgResult::kUntestable) {
         m_proof_rej.c->inc();
-        audit_decision(cand, "rejected_proof", false,
-                       engine_name(options_.proof.engine),
-                       verdict_name(verdict));
+        audit_decision(cand, "rejected_proof",
+                       {false, engine_name(options_.proof.engine),
+                        verdict_name(verdict)});
         return false;
       }
       return true;
@@ -916,26 +729,11 @@ PowderReport PowderOptimizer::run() {
         resume.prepass_advance();
       }
       recorder.record_prepass(c.round, c.ordinal, c.cand, c.applied);
-      const double p = model.total_power();
-      const double a = netlist_->total_area();
-      ClassStats& cls =
-          report.by_class[static_cast<std::size_t>(ResubClass::kFuncRed)];
-      ++cls.applied;
-      cls.power_delta += fr_power - p;
-      cls.area_delta += a - fr_area;
-      commit_log.push_back(CommitRecord{ResubClass::kFuncRed, fr_power - p,
-                                        a - fr_area});
-      if (attr != nullptr)
-        attr->record_commit(static_cast<int>(ResubClass::kFuncRed), -1,
-                            fr_power - p);
-      m_applied.c->inc();
-      audit_decision(c.cand, "accepted", false, "funcred", "untestable");
-      if (prog != nullptr)
-        prog->commit(0, subst_class_name(ResubClass::kFuncRed), -1,
-                     fr_power - p, p);
+      book_commit(ResubClass::kFuncRed, fr_power, fr_area);
+      audit_decision(c.cand, "accepted", {false, "funcred", "untestable"});
       progress_tick();
-      fr_power = p;
-      fr_area = a;
+      fr_power = model.total_power();
+      fr_area = netlist_->total_area();
     };
     const FuncredStats fr =
         functional_reduction(*netlist_, sim, journal, hooks, nullptr);
@@ -1024,97 +822,28 @@ PowderReport PowderOptimizer::run() {
         if (g != kNullGate) touched.insert(g);
       };
       std::vector<GateId>& to_parent = ex.to_parent;
-      auto map_gate = [&](GateId local, GateId* parent) {
-        if (local >= to_parent.size() || to_parent[local] == kNullGate)
-          return false;
-        *parent = to_parent[local];
-        return true;
-      };
       for (const WindowCommit& wc : res.commits) {
-        CandidateSub cand = wc.cand;
-        bool mapped = map_gate(wc.cand.target, &cand.target);
-        if (mapped && wc.cand.branch.has_value())
-          mapped = map_gate(wc.cand.branch->gate, &cand.branch->gate);
-        for (int i = 0; mapped && i < wc.cand.rep.num_sources(); ++i)
-          mapped = map_gate(wc.cand.rep.source(i), &cand.rep.source_ref(i));
-        if (!mapped) return false;  // an earlier commit of this window failed
+        CandidateSub cand;
+        if (!map_to_parent(to_parent, wc.cand, &cand))
+          return false;  // an earlier commit of this window failed
 
-        // Delay check against the parent's real arrival times (the local
-        // loop has none). The rest of the window builds on this commit —
-        // drop it and let a re-run rediscover what still fits.
-        bool delay_violated;
-        {
-          TraceSpan delay_span(trace, "delay_check", "sta");
-          delay_violated = violates_delay(cand, report.delay_limit, timing,
-                                          report.diagnostics);
-          delay_span.arg("violated", delay_violated ? 1 : 0);
-        }
-        if (delay_violated) {
-          m_delay.c->inc();
-          audit_decision(cand, "rejected_delay", true);
-          return false;
-        }
-
-        const double power_before = model.total_power();
-        const double area_before = netlist_->total_area();
-        const bool active = resume.active();
-        AppliedSub applied;
-        try {
-          applied = journal.apply(cand);
-        } catch (const CheckError&) {
-          if (active && resume.matches(cand))
-            throw Error::input(
-                "resume diverged: a checkpointed window substitution failed "
-                "to re-apply (wrong input netlist or tampered log?)");
-          m_apply_fail.c->inc();
-          audit_decision(cand, "apply_failed", true);
-          return false;
-        }
-        resync();
-        if (options_.check_invariants) netlist_->check_consistency();
-
-        if (options_.guard.signature_check && !po_signatures_ok()) {
-          if (active && resume.matches(cand))
-            throw Error::input(
-                "resume diverged: the signature guard rejected a window "
-                "commit the checkpoint recorded as accepted");
-          m_guard_rb.c->inc();
-          audit_decision(cand, "guard_rollback", true);
-          try {
-            journal.rollback_last();
-            resync();
-          } catch (const CheckError&) {
-            resync();
-            stopped = true;
-            return true;  // stopping — no re-run
-          }
-          return false;
-        }
-
-        const double power_after = model.total_power();
-        ClassStats& cls = report.by_class[static_cast<std::size_t>(cand.cls)];
-        ++cls.applied;
-        cls.power_delta += power_before - power_after;
-        cls.area_delta += netlist_->total_area() - area_before;
-        commit_log.push_back(CommitRecord{cand.cls, power_before - power_after,
-                                          netlist_->total_area() -
-                                              area_before});
-        if (attr != nullptr)
-          attr->record_commit(static_cast<int>(cand.cls), ex.id,
-                              power_before - power_after);
-        if (prog != nullptr)
-          prog->commit(audit_iteration, subst_class_name(cand.cls), ex.id,
-                       power_before - power_after, power_after);
-        m_applied.c->inc();
+        // The rest of the window builds on each commit: a dropped one ends
+        // the merge, and a re-run rediscovers what still fits.
+        if (!delay_ok(cand, {true})) return false;
+        const std::optional<AppliedSub> applied =
+            commit(cand, static_cast<int>(merged_total),
+                   {true, "window", "untestable"});
+        if (!applied.has_value()) return stopped;  // stopping — no re-run
         m_window_commits.c->inc();
+        ++merged_total;
 
         // Extend the local->parent map with the inserted gate so later
         // commits of this window that reference it keep mapping.
         if (wc.applied.new_gate != kNullGate &&
-            applied.new_gate != kNullGate) {
+            applied->new_gate != kNullGate) {
           if (wc.applied.new_gate >= to_parent.size())
             to_parent.resize(wc.applied.new_gate + 1, kNullGate);
-          to_parent[wc.applied.new_gate] = applied.new_gate;
+          to_parent[wc.applied.new_gate] = applied->new_gate;
         }
 
         // Every parent-side edit endpoint joins the touched set; later
@@ -1122,40 +851,20 @@ PowderReport PowderOptimizer::run() {
         // parent MFFC sweep can exceed the local one (it reaches cones the
         // window clipped), so the endpoints come from the parent delta.
         mark(cand.target);
-        for (const GateId g : applied.removed_gates) mark(g);
-        for (const auto& fl : applied.removed_fanins)
+        for (const GateId g : applied->removed_gates) mark(g);
+        for (const auto& fl : applied->removed_fanins)
           for (const GateId g : fl) mark(g);
-        for (const RewiredPin& p : applied.rewired_pins) {
+        for (const RewiredPin& p : applied->rewired_pins) {
           mark(p.sink);
           mark(p.old_driver);
           mark(p.new_driver);
         }
-        for (const ResizedCell& r : applied.resized_cells) mark(r.gate);
-        for (const GateId g : applied.changed_roots) mark(g);
-        if (applied.new_gate != kNullGate) {
-          mark(applied.new_gate);
-          for (const GateId g : netlist_->fanins(applied.new_gate)) mark(g);
+        for (const ResizedCell& r : applied->resized_cells) mark(r.gate);
+        for (const GateId g : applied->changed_roots) mark(g);
+        if (applied->new_gate != kNullGate) {
+          mark(applied->new_gate);
+          for (const GateId g : netlist_->fanins(applied->new_gate)) mark(g);
         }
-
-        if (active) {
-          // Merged commits drain the global cursor in lockstep: the merge
-          // order is deterministic, so record i of the WAL is exactly the
-          // i-th commit merged here.
-          const WalCommit& rec = resume.current();
-          if (rec.window != static_cast<std::uint32_t>(ex.id) ||
-              !same_candidate(rec.cand, cand) ||
-              !same_applied(rec.applied, applied))
-            throw Error::input(
-                "resume diverged: merged window commits no longer match the "
-                "checkpoint");
-          resume.advance();
-        }
-        recorder.record_commit(audit_iteration,
-                               static_cast<int>(merged_total), cand, applied,
-                               static_cast<std::uint32_t>(ex.id));
-        audit_decision(cand, "accepted", true, "window", "untestable");
-        ++merged_total;
-        progress = true;
       }
       return true;
     };
@@ -1339,7 +1048,7 @@ PowderReport PowderOptimizer::run() {
         // Refresh validity and PG_A+PG_B of the surviving candidates whose
         // memo predates the netlist's epoch, preselect the best, then
         // re-estimate PG_C for the shortlist only.
-        const Selection sel = select_power_red_subst(
+        const std::size_t best = select_power_red_subst(
             *netlist_, model, &cands, options_,
             [&](const CandidateSub& c) {
               if (substitution_still_valid(*netlist_, c)) return true;
@@ -1348,70 +1057,29 @@ PowderReport PowderOptimizer::run() {
               return false;
             },
             &selection_stats);
-        const std::size_t best = sel.best;
         if (best == cands.size()) break;  // nothing left that helps
-
-        // Speculate on the rest of the shortlist: if the chosen candidate is
-        // rejected (delay or proof), the netlist is unchanged and the next
-        // selection will pick from these — their verdicts are then already
-        // cached. A commit invalidates the speculation wholesale. Pointless
-        // while the WAL oracle answers proofs (resume fast-forward) or the
-        // ladder has stepped off the full engine.
-        if (pipe != nullptr && !resume.active() &&
-            ladder.level() == DegradationLevel::kFullProof) {
-          for (const std::size_t k : sel.shortlist)
-            if (k != best) pipe->speculate(cands[k]);
-        }
 
         CandidateSub chosen = cands[best];
         cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
-        const bool pg_c_known = options_.objective != Objective::kArea;
+        ProofNote note{options_.objective != Objective::kArea};
 
-        // ---- check_delay (§3.4) -------------------------------------------
-        bool delay_violated;
-        {
-          TraceSpan delay_span(trace, "delay_check", "sta");
-          delay_violated = violates_delay(chosen, report.delay_limit, timing,
-                                          report.diagnostics);
-          delay_span.arg("violated", delay_violated ? 1 : 0);
-        }
-        if (delay_violated) {
-          m_delay.c->inc();
-          audit_decision(chosen, "rejected_delay", pg_c_known);
-          continue;
-        }
+        if (!delay_ok(chosen, note)) continue;
 
         // ---- check_candidate: permissibility proof ------------------------
         // Fault injection can force an unproven candidate through this
-        // pipeline; the post-commit guard below is what must catch it.
+        // pipeline; the post-commit guard in `commit` is what must catch it.
         bool forced = false;
         if (inject_fault(FaultInjector::Site::kStaleCandidate))
           forced = corrupt_candidate(*netlist_, verify_sim, &chosen);
         if (inject_fault(FaultInjector::Site::kAcceptProof)) forced = true;
-        const char* proof_engine = nullptr;
-        const char* proof_verdict = nullptr;
-        double proof_us = -1.0;
         if (!forced) {
-          // Cheap pre-proof: simulate the replacement on the independent
-          // pattern set; any output difference is a definite refutation.
-          const std::vector<std::uint64_t> words =
-              replacement_words(verify_sim, chosen.rep);
-          const FanoutRef* branch =
-              chosen.branch.has_value() ? &*chosen.branch : nullptr;
-          const auto diff = verify_sim.output_diff_with_replacement(
-              chosen.target, branch, words);
-          bool refuted = false;
-          for (std::uint64_t w : diff)
-            if (w) {
-              refuted = true;
-              break;
-            }
-          if (refuted) {
+          // Cheap pre-proof on the independent pattern set.
+          if (refuted_by_simulation(verify_sim, chosen)) {
             m_presim.c->inc();
-            audit_decision(chosen, "rejected_presim", pg_c_known);
+            audit_decision(chosen, "rejected_presim", note);
             continue;
           }
-          std::optional<AtpgResult> proof;
+          AtpgResult proof;
           if (resume.active()) {
             // WAL fast-forward: the oracle replaces the proof engines. A
             // candidate matching the next recorded commit was proved
@@ -1422,150 +1090,51 @@ PowderReport PowderOptimizer::run() {
             // and bit-identically — on the real engines.
             proof = resume.matches(chosen) ? AtpgResult::kUntestable
                                            : AtpgResult::kTestFound;
-            proof_engine = "replay";
+            note.engine = "replay";
           } else if (ladder.level() == DegradationLevel::kSignatureOnly) {
             // Signature-reject-only rung: proof effort is no longer
             // affordable, and an unproven candidate is never accepted — so
             // everything that survives presim is rejected here while the run
             // drains toward a clean stop with its committed gains intact.
             m_degraded.c->inc();
-            audit_decision(chosen, "rejected_degraded", pg_c_known, "none",
-                           "skipped");
+            note.engine = "none";
+            note.verdict = "skipped";
+            audit_decision(chosen, "rejected_degraded", note);
             continue;
           } else {
             const ProofEngine engine =
                 ladder.level() == DegradationLevel::kPodemOnly
                     ? ProofEngine::kPodem
                     : options_.proof.engine;
-            // Speculative verdicts were proved with the configured engine;
-            // they stay usable only while the ladder has not changed it.
-            if (pipe != nullptr && engine == options_.proof.engine) {
-              proof = pipe->lookup(chosen);
-              if (proof.has_value()) proof_engine = "speculative";
-            }
-            if (!proof.has_value()) {
-              const bool timed = options_.trace.any();
-              const std::uint64_t t0 = timed ? trace_now_ns() : 0;
-              proof = prove_with_retry(atpg, sat, engine, chosen,
-                                       options_.session.proof_retries,
-                                       m_retries.c);
-              if (timed)
-                proof_us =
-                    static_cast<double>(trace_now_ns() - t0) / 1000.0;
-              proof_engine = engine_name(engine);
-              m_inline.c->inc();
-            }
+            const bool timed = options_.trace.any();
+            const std::uint64_t t0 = timed ? trace_now_ns() : 0;
+            proof = prove_replacement(atpg, sat, engine, chosen.site(),
+                                      chosen.rep);
+            if (timed)
+              note.us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
+            note.engine = engine_name(engine);
+            m_inline.c->inc();
           }
-          proof_verdict = verdict_name(*proof);
-          if (*proof != AtpgResult::kUntestable) {
+          note.verdict = verdict_name(proof);
+          if (proof != AtpgResult::kUntestable) {
             m_proof_rej.c->inc();
-            audit_decision(chosen, "rejected_proof", pg_c_known, proof_engine,
-                           proof_verdict, proof_us);
+            audit_decision(chosen, "rejected_proof", note);
             continue;
           }
           m_cls_proved[static_cast<std::size_t>(chosen.cls)].c->inc();
         }
 
-        // ---- perform_substitution + power_estimate_update -----------------
-        const double power_before = model.total_power();
-        const double area_before = netlist_->total_area();
-        const bool replaying = resume.matches(chosen);
-        AppliedSub applied;
-        try {
-          MutationScope scope(pipe);
-          applied = journal.apply(chosen);
-        } catch (const CheckError&) {
-          // Stale or invalid at the last moment: the apply validated before
-          // mutating, so the netlist is untouched — skip the candidate.
-          if (replaying)
-            throw Error::input(
-                "resume diverged: a checkpointed substitution failed to "
-                "re-apply (wrong input netlist or tampered log?)");
-          m_apply_fail.c->inc();
-          audit_decision(chosen, "apply_failed", pg_c_known, proof_engine,
-                         proof_verdict, proof_us);
+        if (!commit(chosen, performed, note)) {
+          if (stopped) break;
           continue;
         }
-        resync();
-        if (options_.check_invariants) netlist_->check_consistency();
-
-        // ---- guard: the PO signatures must be untouched -------------------
-        if (options_.guard.signature_check && !po_signatures_ok()) {
-          if (replaying)
-            throw Error::input(
-                "resume diverged: the signature guard rejected a commit the "
-                "checkpoint recorded as accepted");
-          m_guard_rb.c->inc();
-          audit_decision(chosen, "guard_rollback", pg_c_known, proof_engine,
-                         proof_verdict, proof_us);
-          try {
-            {
-              MutationScope scope(pipe);
-              journal.rollback_last();
-            }
-            resync();
-          } catch (const CheckError&) {
-            // Rollback itself failed (possible only with a corrupted
-            // journal); the deltas that did execute were published, so the
-            // same resync still yields trustworthy caches. Stop committing
-            // and let the final guard judge.
-            resync();
-            stopped = true;
-            break;
-          }
-          continue;
-        }
-
-        const double power_after = model.total_power();
-        ClassStats& cls =
-            report.by_class[static_cast<std::size_t>(chosen.cls)];
-        ++cls.applied;
-        cls.power_delta += power_before - power_after;
-        cls.area_delta += netlist_->total_area() - area_before;
-        commit_log.push_back(CommitRecord{chosen.cls,
-                                          power_before - power_after,
-                                          netlist_->total_area() - area_before});
-        if (attr != nullptr)
-          attr->record_commit(static_cast<int>(chosen.cls), -1,
-                              power_before - power_after);
-        if (prog != nullptr)
-          prog->commit(audit_iteration, subst_class_name(chosen.cls), -1,
-                       power_before - power_after, power_after);
-        m_applied.c->inc();
-        if (replaying) {
-          // Replay verification: the re-applied mutation must reproduce the
-          // recorded delta bit-for-bit before the cursor moves on.
-          if (!same_applied(resume.current().applied, applied))
-            throw Error::input(
-                "resume diverged: a replayed substitution produced a "
-                "different netlist delta than the checkpoint recorded");
-          resume.advance();
-        }
-        // Durable commit: the WAL frame is appended (and fsync'd) only after
-        // the signature guard accepted the commit, so a resume never replays
-        // a rolled-back substitution. A kill inside the frame write leaves a
-        // torn tail the reader drops — the commit then simply re-runs live
-        // on resume, with the same deterministic verdict.
-        recorder.record_commit(audit_iteration, performed, chosen, applied);
-        audit_decision(chosen, "accepted", pg_c_known, proof_engine,
-                       proof_verdict, proof_us);
         ++performed;
-        progress = true;
         progress_tick();
       }
       if (prog != nullptr)
         prog->phase(audit_iteration, "commit", performed, "applied");
       iter_span.arg("applied", performed);
     }
-  }
-
-  // Stop the proof workers before the end-of-run guard walk: from here on
-  // the netlist mutates without speculation to invalidate.
-  if (pipeline.has_value()) {
-    pipeline->shutdown();
-    report.diagnostics.proof_jobs_enqueued = pipeline->jobs_enqueued();
-    report.diagnostics.speculative_proof_hits = pipeline->speculative_hits();
-    report.diagnostics.stale_proofs_dropped = pipeline->stale_dropped();
   }
 
   // Registry -> report snapshot (the Diagnostics compat shim). Must happen
@@ -1651,8 +1220,6 @@ PowderReport PowderOptimizer::run() {
   // them back identically, so the final state still converges.
   recorder.record_end();
   report.diagnostics.degradation_events = ladder.transitions();
-  report.diagnostics.retries = m_retries.delta();
-  report.diagnostics.watchdog_requeues = m_watchdog.delta();
   report.diagnostics.checkpoint_frames = recorder.frames();
   report.diagnostics.resume_replayed = resume.replayed();
   report.diagnostics.checkpoint_disabled = recorder.degraded();
@@ -1711,15 +1278,6 @@ PowderReport PowderOptimizer::run() {
     auto pub = [&](const char* name, const char* help, long long v) {
       r.counter(name, help)->inc(v);
     };
-    pub("powder_proof_jobs_enqueued_total",
-        "Speculative proof jobs handed to workers",
-        report.diagnostics.proof_jobs_enqueued);
-    pub("powder_speculative_proof_hits_total",
-        "Chosen candidates served from the speculative proof cache",
-        report.diagnostics.speculative_proof_hits);
-    pub("powder_stale_proofs_dropped_total",
-        "Worker proof results invalidated by commits",
-        report.diagnostics.stale_proofs_dropped);
     pub("powder_deltas_published_total",
         "Netlist deltas published during the run",
         report.diagnostics.deltas_published);

@@ -16,11 +16,10 @@
 //     }
 //   } while (cand_substitutions != {});
 //
-// With threads > 1 the run becomes a harvest/proof pipeline: simulation and
-// candidate matching shard across a thread pool, and permissibility proofs
-// run speculatively on worker threads fed by a bounded MPMC queue while a
-// single commit thread applies substitutions through the journal (see
-// DESIGN.md, "Parallel harvest/proof pipeline").
+// With threads > 1 simulation, candidate matching and the window fan-out
+// shard across a thread pool; the global loop's permissibility proofs run
+// inline on the single commit thread, which applies substitutions through
+// the journal (see DESIGN.md, "Parallel harvest/proof pipeline").
 
 #include <array>
 #include <chrono>
@@ -71,7 +70,7 @@ struct ProofOptions {
 /// Resource limits for one run. Exhaustion degrades the run (skip
 /// candidate, fall back to the other engine, stop with a partial result
 /// flagged in the report) — it never crashes or loops. The pools are shared
-/// atomically by every proof worker (see ResourceBudget).
+/// atomically by every thread that proves (see ResourceBudget).
 struct BudgetOptions {
   double deadline_seconds = -1.0;  ///< wall clock for the run; <0 disables
   long atpg_backtrack_pool = -1;   ///< global PODEM pool; <0 = unlimited
@@ -101,11 +100,12 @@ struct PowderOptions {
 
   int max_outer_iterations = 64;
 
-  /// Total threads for the harvest/proof pipeline (global mode) or the
-  /// window fan-out (windowed mode). 1 = the serial algorithm; 0 = one per
-  /// hardware thread. The final netlist is bit-identical at any thread
-  /// count (with unlimited proof pools and no deadline — finite budgets
-  /// drain in a timing-dependent order).
+  /// Total threads for the harvest and simulation shards (global mode,
+  /// whose proofs run inline on the commit thread) or the window fan-out
+  /// (windowed mode). 1 = the serial algorithm; 0 = one per hardware
+  /// thread. The final netlist is bit-identical at any thread count (with
+  /// unlimited proof pools and no deadline — finite budgets drain in a
+  /// timing-dependent order).
   int threads = 1;
 
   /// Which power model the greedy loop optimizes (DESIGN.md §13). The
@@ -127,7 +127,7 @@ struct PowderOptions {
   GuardOptions guard;
   BudgetOptions budget;
   /// Session durability + graceful degradation: WAL checkpointing, resume,
-  /// memory-pressure ladder, proof-job retry/watchdog (DESIGN.md §10).
+  /// memory-pressure ladder (DESIGN.md §10).
   SessionOptions session;
   /// Observability sinks (all borrowed, all optional): span trace, metrics
   /// registry, decision audit log. With every sink null the instrumentation
@@ -243,14 +243,6 @@ class PowderOptions::Builder {
     opts_.session.mem_limit_bytes = bytes;
     return *this;
   }
-  Builder& watchdog_seconds(double seconds) {
-    opts_.session.watchdog_seconds = seconds;
-    return *this;
-  }
-  Builder& proof_retries(int n) {
-    opts_.session.proof_retries = n;
-    return *this;
-  }
   Builder& session(SessionOptions s) {
     opts_.session = std::move(s);
     return *this;
@@ -361,18 +353,13 @@ struct PowderReport {
 
     // Session durability & degradation accounting (DESIGN.md §10).
     int degradation_events = 0;   ///< ladder step-downs published this run
-    long retries = 0;             ///< transient proof failures retried
-    long watchdog_requeues = 0;   ///< stuck proof jobs re-proved inline
     long checkpoint_frames = 0;   ///< WAL commit frames durably written
     long resume_replayed = 0;     ///< commits fast-forwarded from the WAL
     bool checkpoint_disabled = false;  ///< checkpointing lost to an I/O error
     bool mem_limit_hit = false;   ///< RSS crossed session.mem_limit_bytes
 
-    int threads_used = 1;             ///< resolved thread count of the run
-    long proof_jobs_enqueued = 0;     ///< speculative jobs handed to workers
-    long speculative_proof_hits = 0;  ///< chosen candidates already proved
-    long stale_proofs_dropped = 0;    ///< worker results invalidated by commits
-    long inline_proofs = 0;           ///< proofs run on the commit thread
+    int threads_used = 1;    ///< resolved thread count of the run
+    long inline_proofs = 0;  ///< engine proofs: pre-pass, loop, windows
 
     // Incremental-core accounting (DESIGN.md §6).
     long deltas_published = 0;        ///< netlist deltas this run published

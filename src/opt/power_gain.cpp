@@ -71,6 +71,14 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
   return out;
 }
 
+bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub) {
+  const std::vector<std::uint64_t> words = replacement_words(sim, sub.rep);
+  const FanoutRef* branch = sub.branch.has_value() ? &*sub.branch : nullptr;
+  const auto diff = sim.output_diff_with_replacement(sub.target, branch, words);
+  return std::any_of(diff.begin(), diff.end(),
+                     [](std::uint64_t w) { return w != 0; });
+}
+
 double words_activity(std::span<const std::uint64_t> words) {
   std::uint64_t ones = 0;
   for (std::uint64_t w : words)

@@ -39,6 +39,11 @@ namespace powder {
 std::vector<std::uint64_t> replacement_words(const Simulator& sim,
                                              const ReplacementFunction& rep);
 
+/// The cheap pre-proof: true when substituting `sub` changes some primary
+/// output on `sim`'s patterns — a definite refutation, so the candidate
+/// never reaches the proof engines.
+bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub);
+
 /// Switching activity 2p(1-p) of a word vector.
 double words_activity(std::span<const std::uint64_t> words);
 

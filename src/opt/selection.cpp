@@ -6,7 +6,7 @@
 
 namespace powder {
 
-Selection select_power_red_subst(
+std::size_t select_power_red_subst(
     const Netlist& netlist, const PowerModel& model,
     std::vector<CandidateSub>* cands, const PowderOptions& options,
     const std::function<bool(const CandidateSub&)>& keep,
@@ -32,22 +32,19 @@ Selection select_power_red_subst(
     order.push_back(i);
     ++i;
   }
-  Selection sel;
-  sel.best = cands->size();
-  if (order.empty()) return sel;
+  std::size_t best = cands->size();
+  if (order.empty()) return best;
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
     return metric[x] > metric[y];
   });
   order.resize(std::min(order.size(),
                         static_cast<std::size_t>(options.shortlist)));
-  sel.shortlist = std::move(order);
   double best_gain = options.min_gain;
   if (area_mode) {
     // Area gain is exact — no shortlist re-estimation needed.
-    if (metric[sel.shortlist[0]] > best_gain) sel.best = sel.shortlist[0];
-    return sel;
+    return metric[order[0]] > best_gain ? order[0] : best;
   }
-  for (const std::size_t k : sel.shortlist) {
+  for (const std::size_t k : order) {
     CandidateSub& c = (*cands)[k];
     if (c.pg_c_memo) {
       ++stats->pgc_memo_hits;
@@ -58,10 +55,10 @@ Selection select_power_red_subst(
     }
     if (c.total_gain() > best_gain) {
       best_gain = c.total_gain();
-      sel.best = k;
+      best = k;
     }
   }
-  return sel;
+  return best;
 }
 
 }  // namespace powder

@@ -27,18 +27,12 @@ struct SelectionStats {
   long pgc_memo_hits = 0;    ///< shortlisted PG_C values reused
 };
 
-struct Selection {
-  /// Shortlisted indices into the candidate vector, best metric first.
-  std::vector<std::size_t> shortlist;
-  /// Index of the pick; the candidate count when nothing helps.
-  std::size_t best = 0;
-};
-
 /// One selection round over `*cands` under `options`' objective, shortlist
 /// and min_gain. Candidates whose validity is stale are re-checked with
 /// `keep`; those it rejects are erased (the callback does the caller's
 /// accounting). pg_a/pg_b/pg_c of the survivors are refreshed where stale.
-Selection select_power_red_subst(
+/// Returns the index of the pick, or the candidate count when nothing helps.
+std::size_t select_power_red_subst(
     const Netlist& netlist, const PowerModel& model,
     std::vector<CandidateSub>* cands, const PowderOptions& options,
     const std::function<bool(const CandidateSub&)>& keep,

@@ -29,16 +29,6 @@ struct SessionOptions {
   /// run cleanly with best-so-far. 0 disables the sensor.
   long long mem_limit_bytes = 0;
 
-  /// Pipeline watchdog: how long the commit thread waits on an in-flight
-  /// speculative proof before declaring the worker stuck and re-proving
-  /// inline. <= 0 waits forever (pre-watchdog behavior).
-  double watchdog_seconds = 30.0;
-
-  /// Transient proof-engine failures (an engine throwing, not returning a
-  /// verdict) are retried this many times with capped exponential backoff
-  /// before the candidate is treated as kAborted (rejected, sound).
-  int proof_retries = 2;
-
   /// Deadline fractions (of the total budget) at which the ladder steps
   /// down: below podem_only_fraction remaining, SAT is bypassed; below
   /// signature_only_fraction, proofs stop and every candidate is rejected

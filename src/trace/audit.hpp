@@ -7,7 +7,8 @@
 // per candidate class the way per-run totals never can.
 //
 // Writing happens on the optimizer's commit thread only (candidate
-// selection is single-threaded even in pipeline mode), so the log needs no
+// selection and proofs are single-threaded at any thread count; window-
+// local loops write nothing), so the log needs no
 // hot-path synchronization; a mutex still serializes writers defensively
 // so a misuse cannot interleave half-lines.
 
@@ -43,9 +44,10 @@ struct AuditRecord {
   double pg_b = 0.0;
   double pg_c = 0.0;
   bool pg_c_known = false;     ///< PG_C is only computed for the shortlist
-  /// Permissibility proof, when one ran: engine "podem"/"sat"/"hybrid"
-  /// (inline) or "speculative" (verdict served by the proof pipeline's
-  /// cache), verdict "untestable"/"test_found"/"aborted".
+  /// Permissibility proof, when one ran: engine "podem"/"sat"/"hybrid",
+  /// "replay" (WAL oracle on resume), "funcred" or "window" (proved by the
+  /// pre-pass / a window-local loop), "none" (degraded, verdict
+  /// "skipped"); verdict "untestable"/"test_found"/"aborted".
   const char* proof_engine = nullptr;
   const char* proof_verdict = nullptr;
   double proof_us = -1.0;      ///< inline proof wall time; <0 = n/a
@@ -55,7 +57,7 @@ struct AuditRecord {
 };
 
 /// A run-level event line, distinct from per-candidate decision records:
-/// degradation-ladder transitions, checkpoint failures, watchdog firings.
+/// degradation-ladder transitions, checkpoint failures, window conflicts.
 /// Events render as `{"event":...}` NDJSON lines interleaved with decision
 /// records but counted separately (records() stays a pure decision count).
 struct AuditEvent {

@@ -9,10 +9,10 @@
 // pool is dry or the deadline has passed. Exhaustion is therefore always a
 // clean, reported degradation — never a hang and never a hard error.
 //
-// The pools are atomic: POWDER's proof pipeline runs permissibility checks
-// on several worker threads against the same budget, and a CAS loop in
+// The pools are atomic: windowed mode proves candidates on the window
+// fan-out's pool threads against the same budget, and a CAS loop in
 // `consume` guarantees the pool is debited exactly once per unit of effort
-// and never goes negative — concurrent workers cannot double-spend.
+// and never goes negative — concurrent threads cannot double-spend.
 
 #include <atomic>
 #include <chrono>

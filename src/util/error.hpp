@@ -9,7 +9,8 @@
 //   kResource    — the process ran out of something it cannot degrade
 //                  around (allocation failure outside a guarded path).
 //   kProofEngine — a permissibility engine failed in a way that is neither
-//                  "testable" nor "untestable" and exhausted its retries.
+//                  "testable" nor "untestable" (the optimizer settles such
+//                  a proof as a sound kAborted rejection).
 //   kIo          — the filesystem failed us: unreadable input, torn
 //                  checkpoint, failed atomic rename.
 //

@@ -27,8 +27,7 @@ class FaultInjector {
     kCheckpointFsync, ///< fsync on the WAL descriptor reports failure
     kOutputWrite,     ///< atomic artifact write fails before the rename
     kAllocFail,       ///< scratch allocation on the checkpoint path fails
-    kProofTransient,  ///< proof engine throws a transient (retryable) error
-    kProofStall,      ///< proof worker stalls mid-job (watchdog bait)
+    kProofTransient,  ///< proof engine throws (the proof rejects soundly)
     kCount_
   };
   static constexpr int kNumSites = static_cast<int>(Site::kCount_);
@@ -53,9 +52,9 @@ class FaultInjector {
 
  private:
   // Occurrence counters are atomic: proof-engine sites (kAtpgProof,
-  // kProofTransient, kProofStall) fire concurrently from pipeline workers.
-  // Arming happens while the optimizer is quiescent, so skip/count stay
-  // plain.
+  // kSatProof, kProofTransient) fire concurrently from the window fan-out's
+  // pool threads. Arming happens while the optimizer is quiescent, so
+  // skip/count stay plain.
   struct SiteState {
     std::atomic<bool> armed{false};
     int skip = 0;

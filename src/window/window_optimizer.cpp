@@ -13,32 +13,24 @@
 #include "util/check.hpp"
 
 namespace powder {
-namespace {
 
-/// One local permissibility check. A CheckError from an engine is treated
-/// as kAborted — a sound rejection — so a transient failure inside a pool
-/// thread can never accept an unproven candidate or tear down the window
-/// fan-out.
-AtpgResult prove_local(AtpgChecker& atpg, SatChecker& sat, ProofEngine engine,
-                       const CandidateSub& cand) {
-  try {
-    switch (engine) {
-      case ProofEngine::kPodem:
-        return atpg.check_replacement(cand.site(), cand.rep);
-      case ProofEngine::kSat:
-        return sat.check_replacement(cand.site(), cand.rep);
-      case ProofEngine::kHybrid: {
-        const AtpgResult r = atpg.check_replacement(cand.site(), cand.rep);
-        if (r != AtpgResult::kAborted) return r;
-        return sat.check_replacement(cand.site(), cand.rep);
-      }
-    }
-  } catch (const CheckError&) {
-  }
-  return AtpgResult::kAborted;
+bool map_to_parent(const std::vector<GateId>& to_parent,
+                   const CandidateSub& local, CandidateSub* parent) {
+  auto map_gate = [&](GateId g, GateId* out) {
+    if (g >= to_parent.size() || to_parent[g] == kNullGate) return false;
+    *out = to_parent[g];
+    return true;
+  };
+  *parent = local;
+  if (!map_gate(local.target, &parent->target)) return false;
+  if (local.branch.has_value() &&
+      !map_gate(local.branch->gate, &parent->branch->gate))
+    return false;
+  for (int i = 0; i < local.rep.num_sources(); ++i)
+    if (!map_gate(local.rep.source(i), &parent->rep.source_ref(i)))
+      return false;
+  return true;
 }
-
-}  // namespace
 
 WindowResult optimize_window(WindowExtraction& ex,
                              const WindowRunOptions& wo) {
@@ -115,21 +107,6 @@ WindowResult optimize_window(WindowExtraction& ex,
       return nullptr;
     return (*wo.replay)[replay_cursor];
   };
-  auto map_gate = [&](GateId local, GateId* parent) {
-    if (local >= to_parent.size() || to_parent[local] == kNullGate)
-      return false;
-    *parent = to_parent[local];
-    return true;
-  };
-  auto map_to_parent = [&](const CandidateSub& c, CandidateSub* out) {
-    *out = c;
-    if (!map_gate(c.target, &out->target)) return false;
-    if (c.branch.has_value() && !map_gate(c.branch->gate, &out->branch->gate))
-      return false;
-    for (int i = 0; i < c.rep.num_sources(); ++i)
-      if (!map_gate(c.rep.source(i), &out->rep.source_ref(i))) return false;
-    return true;
-  };
 
   for (int round = 0; round < wo.rounds; ++round) {
     finder.reseed(wo.seed + 17 * static_cast<std::uint64_t>(round));
@@ -144,44 +121,27 @@ WindowResult optimize_window(WindowExtraction& ex,
     while (performed < base.repeat && !cands.empty()) {
       // Selection: the global loop's select_power_red_subst, plus the two
       // windowed soundness filters (see the header comment).
-      const std::size_t best =
-          select_power_red_subst(
-              nl, model, &cands, base,
-              [&](const CandidateSub& c) {
-                const bool representable =
-                    nl.kind(c.target) == GateKind::kCell &&
-                    !(c.branch.has_value() &&
-                      nl.kind(c.branch->gate) == GateKind::kOutput);
-                if (representable && substitution_still_valid(nl, c))
-                  return true;
-                ++result.stats.stale;
-                return false;
-              },
-              &result.stats.selection)
-              .best;
+      const std::size_t best = select_power_red_subst(
+          nl, model, &cands, base,
+          [&](const CandidateSub& c) {
+            const bool representable =
+                nl.kind(c.target) == GateKind::kCell &&
+                !(c.branch.has_value() &&
+                  nl.kind(c.branch->gate) == GateKind::kOutput);
+            if (representable && substitution_still_valid(nl, c)) return true;
+            ++result.stats.stale;
+            return false;
+          },
+          &result.stats.selection);
       if (best == cands.size()) break;
 
       CandidateSub chosen = cands[best];
       cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
 
       // Pre-proof refutation on the independent pattern set.
-      {
-        const std::vector<std::uint64_t> words =
-            replacement_words(verify_sim, chosen.rep);
-        const FanoutRef* branch =
-            chosen.branch.has_value() ? &*chosen.branch : nullptr;
-        const auto diff = verify_sim.output_diff_with_replacement(
-            chosen.target, branch, words);
-        bool refuted = false;
-        for (const std::uint64_t w : diff)
-          if (w) {
-            refuted = true;
-            break;
-          }
-        if (refuted) {
-          ++result.stats.presim_rejected;
-          continue;
-        }
+      if (refuted_by_simulation(verify_sim, chosen)) {
+        ++result.stats.presim_rejected;
+        continue;
       }
 
       // Permissibility: the WAL oracle answers candidates it recorded for
@@ -191,12 +151,14 @@ WindowResult optimize_window(WindowExtraction& ex,
       const WalCommit* record = next_record();
       CandidateSub parent_cand;
       const bool matched = record != nullptr &&
-                           map_to_parent(chosen, &parent_cand) &&
+                           map_to_parent(to_parent, chosen, &parent_cand) &&
                            same_candidate(record->cand, parent_cand);
       if (!matched) {
         ++result.stats.inline_proofs;
-        const AtpgResult verdict =
-            prove_local(atpg, sat, base.proof.engine, chosen);
+        // A throwing engine rejects soundly inside prove_replacement, so a
+        // failure on a pool thread never tears down the window fan-out.
+        const AtpgResult verdict = prove_replacement(
+            atpg, sat, base.proof.engine, chosen.site(), chosen.rep);
         if (verdict != AtpgResult::kUntestable) {
           ++result.stats.proof_rejected;
           continue;

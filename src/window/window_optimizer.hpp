@@ -86,4 +86,10 @@ struct WindowRunOptions {
 WindowResult optimize_window(WindowExtraction& ex,
                              const WindowRunOptions& options);
 
+/// Rewrites a local candidate into parent ids through `to_parent` (the
+/// extraction's map, extended as commits insert gates). False when a gate
+/// it references has no parent counterpart.
+bool map_to_parent(const std::vector<GateId>& to_parent,
+                   const CandidateSub& local, CandidateSub* parent);
+
 }  // namespace powder

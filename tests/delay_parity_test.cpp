@@ -136,15 +136,15 @@ struct GreedyBench {
       std::vector<CandidateSub> cands = finder.find();
       int commits = 0;
       for (;;) {
-        const Selection sel = select_power_red_subst(
+        const std::size_t best = select_power_red_subst(
             nl, est, &cands, opt,
             [&](const CandidateSub& c) {
               return substitution_still_valid(nl, c);
             },
             &stats);
-        if (sel.best >= cands.size()) break;
-        const CandidateSub chosen = cands[sel.best];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(sel.best));
+        if (best >= cands.size()) break;
+        const CandidateSub chosen = cands[best];
+        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
         ++checks;
         if (check_parity(nl, timing, chosen, limit, label).violates) {
           ++rejected;

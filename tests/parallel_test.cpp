@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -176,6 +177,50 @@ TEST(ParallelParity, MultithreadedOptimizeIsBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(r1.final_power, r8.final_power);
   EXPECT_DOUBLE_EQ(r1.final_area, r8.final_area);
   EXPECT_DOUBLE_EQ(r1.final_delay, r8.final_delay);
+}
+
+// Threads shard the harvest and the simulation only: every proof runs
+// inline on the commit thread, so the proof work itself must not depend on
+// the thread count — neither the proof counters nor the decisions audited.
+TEST(ParallelParity, ProofWorkIsThreadCountInvariant) {
+  const CellLibrary lib = CellLibrary::standard();
+  const Netlist initial = map_aig(make_benchmark("duke2"), lib);
+  struct ProofWork {
+    long inline_proofs;
+    int rejected_by_atpg;
+    long long podem_checks;
+    long long sat_checks;
+    long long audit_lines;
+  };
+  auto run = [&](int threads) {
+    Netlist nl = initial;
+    MetricsRegistry metrics;
+    std::ostringstream audit_os;
+    AuditLog audit(&audit_os);
+    const PowderReport r = optimize(nl, PowderOptions::builder()
+                                            .patterns(1024)
+                                            .repeat(10)
+                                            .max_outer_iterations(4)
+                                            .seed(7)
+                                            .threads(threads)
+                                            .metrics(&metrics)
+                                            .audit(&audit)
+                                            .build());
+    auto count = [&](const char* name) {
+      return metrics.counter(name)->value();
+    };
+    return ProofWork{r.diagnostics.inline_proofs, r.rejected_by_atpg,
+                     count("powder_proof_podem_checks_total"),
+                     count("powder_proof_sat_checks_total"), audit.records()};
+  };
+  const ProofWork serial = run(1);
+  const ProofWork threaded = run(4);
+  EXPECT_GT(serial.podem_checks, 0);
+  EXPECT_EQ(threaded.inline_proofs, serial.inline_proofs);
+  EXPECT_EQ(threaded.rejected_by_atpg, serial.rejected_by_atpg);
+  EXPECT_EQ(threaded.podem_checks, serial.podem_checks);
+  EXPECT_EQ(threaded.sat_checks, serial.sat_checks);
+  EXPECT_EQ(threaded.audit_lines, serial.audit_lines);
 }
 
 TEST(ParallelParity, ThreadsZeroMeansAllCoresAndStaysDeterministic) {

@@ -2,7 +2,7 @@
 // (including a real fork+SIGKILL crash at a commit boundary), typed
 // rejection of mismatched or damaged checkpoints, graceful degradation of
 // checkpointing under injected I/O faults, the degradation ladder's
-// monotone staircase, the stuck-proof watchdog, and transient-proof retry.
+// monotone staircase, and sound rejection by a throwing proof engine.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bdd/netlist_bdd.hpp"
 #include "benchgen/benchmarks.hpp"
 #include "io/blif.hpp"
 #include "mapper/mapper.hpp"
@@ -474,45 +475,28 @@ TEST(DegradationLadder, MemLimitStopsCleanly) {
   EXPECT_EQ(write_blif(nl), write_blif(input));  // stopped before any commit
 }
 
-// --- watchdog + retry ----------------------------------------------------
+// --- throwing proof engines ---------------------------------------------
 
-// Stalled speculative proof workers (injected 50ms stall per job) against
-// a ~1ms watchdog: every lookup of an in-flight job times out, gets
-// requeued inline, and the run still completes bit-identically.
-TEST(Watchdog, StuckProofJobsAreRequeuedInline) {
+// An engine that throws settles its proof as kAborted: the candidate is
+// rejected, never accepted unproven, and the run goes on. Two throws cost
+// (at most) the two candidates they hit.
+TEST(ProofFailure, TransientThrowsRejectOnlyTheirCandidates) {
   const Netlist input = make_input();
-  const RunResult ref = run(input, base_options());
-
-  ScopedFaultInjector fi;
-  fi->arm(FaultInjector::Site::kProofStall);
-  SessionOptions session;
-  session.watchdog_seconds = 0.001;
-  const RunResult res = run(input, base_options().threads(2).session(session));
-  fi->disarm(FaultInjector::Site::kProofStall);
-
-  expect_same_outcome(res, ref);
-  EXPECT_GE(res.report.diagnostics.watchdog_requeues, 1);
-}
-
-// Transient proof-engine failures are retried with backoff and then
-// succeed: the run's outcome is unchanged and the retries are counted.
-TEST(Retry, TransientProofFailuresAreRetried) {
-  const Netlist input = make_input();
-  const RunResult ref = run(input, base_options());
-
   ScopedFaultInjector fi;
   fi->arm(FaultInjector::Site::kProofTransient, 0, 2);
-  const RunResult res = run(input, base_options());
+  Netlist nl = input;
+  const PowderReport r = optimize(nl, base_options().build());
+  EXPECT_EQ(fi->fired(FaultInjector::Site::kProofTransient), 2);
   fi->disarm(FaultInjector::Site::kProofTransient);
 
-  expect_same_outcome(res, ref);
-  EXPECT_EQ(res.report.diagnostics.retries, 2);
+  EXPECT_GT(r.substitutions_applied, 0);
+  EXPECT_FALSE(r.diagnostics.guard_failed);
+  EXPECT_TRUE(functionally_equivalent(input, nl));
 }
 
-// Retries exhausted: the failing proof is treated as a sound rejection
-// (kAborted), not a crash — the run completes, possibly with fewer
-// substitutions, and the netlist remains valid.
-TEST(Retry, ExhaustedRetriesRejectSoundly) {
+// Every proof throws: each candidate is rejected soundly, nothing is
+// applied, and the netlist comes back untouched.
+TEST(ProofFailure, ThrowingEngineRejectsSoundly) {
   const Netlist input = make_input("bw");
   ScopedFaultInjector fi;
   fi->arm(FaultInjector::Site::kProofTransient);  // every proof, forever
@@ -520,7 +504,25 @@ TEST(Retry, ExhaustedRetriesRejectSoundly) {
   const PowderReport r = optimize(nl, base_options().build());
   fi->disarm(FaultInjector::Site::kProofTransient);
   EXPECT_EQ(r.substitutions_applied, 0);
-  EXPECT_GT(r.diagnostics.retries, 0);
+  EXPECT_EQ(write_blif(nl), write_blif(input));
+}
+
+// The window-local loops run the same proof function on pool threads, so a
+// throwing engine rejects soundly there too.
+TEST(ProofFailure, ThrowingEngineRejectsSoundlyWindowed) {
+  const Netlist input = make_input();
+  ScopedFaultInjector fi;
+  fi->arm(FaultInjector::Site::kProofTransient);
+  Netlist nl = input;
+  const PowderReport r = optimize(nl, base_options()
+                                          .windowed(true)
+                                          .window_size(40)
+                                          .window_overlap(8)
+                                          .threads(4)
+                                          .build());
+  EXPECT_GT(fi->fired(FaultInjector::Site::kProofTransient), 0);
+  fi->disarm(FaultInjector::Site::kProofTransient);
+  EXPECT_EQ(r.substitutions_applied, 0);
   EXPECT_EQ(write_blif(nl), write_blif(input));
 }
 

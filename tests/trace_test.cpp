@@ -352,7 +352,7 @@ TEST(Audit, LineCountMatchesCandidatesConsideredThreaded) {
   EXPECT_GT(r.substitutions_applied, 0);
   EXPECT_EQ(log.records(), expected_audit_lines(r));
 
-  // The trace must validate and carry the pipeline's span vocabulary.
+  // The trace must validate and carry the run's span vocabulary.
   std::size_t num_events = 0;
   std::string error;
   const std::string json = trace.chrome_json();
@@ -360,7 +360,7 @@ TEST(Audit, LineCountMatchesCandidatesConsideredThreaded) {
   EXPECT_EQ(trace.dropped(), 0u);
   for (const char* span : {"\"optimize\"", "\"iteration\"", "\"harvest\"",
                            "\"harvest_shard\"", "\"journal_commit\"",
-                           "\"sta_resync_arrival\"", "\"proof_job\""})
+                           "\"sta_resync_arrival\"", "\"podem_check\""})
     EXPECT_NE(json.find(span), std::string::npos) << span;
 
   // The registry snapshot embedded in the report is the registry's JSON,

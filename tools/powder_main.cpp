@@ -32,8 +32,8 @@
 //   --redundancy            precede with redundancy removal
 //   --deadline <seconds>    wall-clock budget; the run stops cleanly with
 //                           a partial result when it expires
-//   --threads <n>           harvest/proof pipeline threads (default 1;
-//                           0 = one per hardware thread)
+//   --threads <n>           harvest/simulation shards or window fan-out
+//                           (default 1; 0 = one per hardware thread)
 //   --windowed              partition the netlist into overlapping windows
 //                           and optimize them independently (DESIGN.md §11;
 //                           the scalable mode for 10^5+ gate netlists)
@@ -77,8 +77,6 @@
 //                           input netlist, then continue optimizing
 //   --mem-limit <MB>        degrade and finally stop cleanly when resident
 //                           memory crosses this limit
-//   --watchdog <seconds>    requeue a stuck speculative proof job after
-//                           this long (default 30)
 // Global options:
 //   --quiet                 suppress progress output (results still print)
 //
@@ -149,7 +147,6 @@ struct Args {
   std::string checkpoint_out_path;
   std::string resume_path;
   long long mem_limit_mb = 0;
-  double watchdog = -1.0;
   bool quiet = false;
   bool paranoid = false;
   bool progress_stderr = false;
@@ -216,7 +213,7 @@ void usage() {
       "               [--progress] [--progress-out FILE] "
       "[--attribution-out FILE] [--attribution-top K]\n"
       "               [--checkpoint-out FILE] [--resume FILE] "
-      "[--mem-limit MB] [--watchdog SECONDS]\n"
+      "[--mem-limit MB]\n"
       "       powder diff <base.json> <cand.json> [--power-threshold PCT] "
       "[--area-threshold PCT]\n"
       "               [--runtime-threshold PCT] [--base-audit FILE] "
@@ -409,10 +406,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const char* v = next();
       if (!v) return std::nullopt;
       a.mem_limit_mb = std::atoll(v);
-    } else if (arg == "--watchdog") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.watchdog = std::stod(v);
     } else if (arg == "--quiet") {
       a.quiet = true;
     } else if (arg == "--paranoid") {
@@ -545,7 +538,6 @@ int cmd_optimize(const Args& a) {
                      .checkpoint_out(a.checkpoint_out_path)
                      .resume_from(a.resume_path)
                      .mem_limit_bytes(a.mem_limit_mb * 1024 * 1024);
-  if (a.watchdog > 0) builder.watchdog_seconds(a.watchdog);
   if (a.max_divisors >= 0) builder.max_divisors(a.max_divisors);
   if (a.glitch_pairs >= 0) builder.glitch_vector_pairs(a.glitch_pairs);
   if (a.glitch_event_cap >= 0) builder.glitch_event_cap(a.glitch_event_cap);
@@ -588,12 +580,6 @@ int cmd_optimize(const Args& a) {
              d.degradation_events);
   if (d.mem_limit_hit)
     progress("powder: memory limit reached; result is partial\n");
-  if (d.retries > 0 || d.watchdog_requeues > 0)
-    progress("powder: %lld transient proof retr%s, %lld watchdog "
-             "requeue(s)\n",
-             static_cast<long long>(d.retries),
-             d.retries == 1 ? "y" : "ies",
-             static_cast<long long>(d.watchdog_requeues));
   progress(
       "powder: power %.3f -> %.3f (-%.1f%%), area %.0f -> %.0f, "
       "delay %.2f -> %.2f, %d substitutions, %.1fs (%d thread%s)\n",
