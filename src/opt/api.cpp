@@ -129,6 +129,7 @@ std::string PowderReport::to_json() const {
   append_field(os, "pin_slabs_recycled", diagnostics.pin_slabs_recycled, &df);
   append_field(os, "name_pool_bytes", diagnostics.name_pool_bytes, &df);
   append_field(os, "peak_rss_bytes", diagnostics.peak_rss_bytes, &df);
+  append_field(os, "trace_dropped", diagnostics.trace_dropped, &df);
   os << ",\"windowing\":{";
   bool wf = true;
   append_field(os, "windows_built", diagnostics.windowing.windows_built, &wf);
@@ -145,6 +146,9 @@ std::string PowderReport::to_json() const {
   append_field(os, "funcred_merges", diagnostics.resub.funcred_merges, &rf);
   append_field(os, "harvest_truncated", diagnostics.resub.harvest_truncated,
                &rf);
+  append_field(os, "harvest_sites", diagnostics.resub.harvest_sites, &rf);
+  append_field(os, "harvest_sites_matched",
+               diagnostics.resub.harvest_sites_matched, &rf);
   os << ",\"by_class\":{";
   for (std::size_t i = 0; i < diagnostics.resub.by_class.size(); ++i) {
     if (i != 0) os << ",";

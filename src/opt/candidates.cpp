@@ -1,9 +1,12 @@
 #include "opt/candidates.hpp"
 
-#include <span>
-
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <numeric>
+#include <queue>
+#include <span>
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -28,7 +31,70 @@ bool all_zero(std::span<const std::uint64_t> mask) {
   return true;
 }
 
+/// splitmix64's finalizer: one avalanche step per mixed-in field.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+/// Seed of a site's random-pool stream: the iteration seed mixed with the
+/// target, the branch gate and the branch pin (a stem has kNullGate and
+/// pin -1).
+std::uint64_t site_seed(std::uint64_t seed, GateId target,
+                        const FanoutRef* branch) {
+  const std::uint64_t gate = branch != nullptr ? branch->gate : kNullGate;
+  const std::uint64_t pin =
+      branch != nullptr ? static_cast<std::uint64_t>(branch->pin) : ~0ull;
+  return mix64(mix64(mix64(seed ^ target) ^ gate) ^ pin);
+}
+
+CandidateSub site_base(GateId target, const FanoutRef* branch) {
+  CandidateSub cand;
+  cand.target = target;
+  if (branch != nullptr) {
+    cand.branch = *branch;
+    cand.cls = SubstClass::kIS2;
+  } else {
+    cand.cls = SubstClass::kOS2;
+  }
+  return cand;
+}
+
+/// True when a site bounded by `bound` may still hold a candidate whose
+/// gain reaches `threshold` (ties are kept).
+bool reaches(double bound, double threshold) {
+  return !(bound + CandidateFinder::kBoundSlack * std::abs(bound) <
+           threshold);
+}
+
 }  // namespace
+
+/// Per-thread membership tables for one site's match: the forbidden region
+/// (the site's faulty region), the pool's seen set and the BFS visited set.
+/// Each site takes a fresh epoch, so once the tables cover the netlist
+/// nothing is cleared or allocated per site (the MffcMarks pattern of
+/// netlist.cpp); harvest shards each own their thread's tables.
+struct CandidateFinder::SiteMarks {
+  std::vector<std::uint32_t> forbidden, seen, visited;
+  std::vector<GateId> stack;
+  std::uint32_t epoch = 0;
+
+  std::uint32_t begin(std::size_t slots) {
+    if (forbidden.size() < slots) {
+      forbidden.resize(slots, 0);
+      seen.resize(slots, 0);
+      visited.resize(slots, 0);
+    }
+    if (epoch == std::numeric_limits<std::uint32_t>::max()) {
+      for (auto* table : {&forbidden, &seen, &visited})
+        std::fill(table->begin(), table->end(), 0);
+      epoch = 0;
+    }
+    return ++epoch;
+  }
+};
 
 CandidateFinder::CandidateFinder(const Netlist& netlist,
                                  const PowerModel& estimator,
@@ -38,7 +104,7 @@ CandidateFinder::CandidateFinder(const Netlist& netlist,
       estimator_(&estimator),
       sim_(&estimator.simulator()),
       options_(options),
-      rng_(seed),
+      seed_(seed),
       pool_(pool) {
   rebuild_index();
   netlist_->attach_observer(this);
@@ -196,14 +262,16 @@ void CandidateFinder::for_sites(std::size_t n,
   });
 }
 
-std::vector<GateId> CandidateFinder::build_pool(
-    GateId around, const std::vector<std::uint8_t>& forbidden,
-    std::span<const std::size_t> random_draws) const {
+std::vector<GateId> CandidateFinder::build_pool(GateId around,
+                                                SiteMarks& marks,
+                                                Rng& rng) const {
+  const std::uint32_t epoch = marks.epoch;
   std::vector<GateId> pool;
-  std::vector<std::uint8_t> seen(netlist_->num_slots(), 0);
   auto try_add = [&](GateId g) {
-    if (seen[g] || forbidden[g] || !netlist_->alive(g)) return false;
-    seen[g] = 1;
+    if (marks.seen[g] == epoch || marks.forbidden[g] == epoch ||
+        !netlist_->alive(g))
+      return false;
+    marks.seen[g] = epoch;
     if (netlist_->kind(g) == GateKind::kOutput) return false;
     pool.push_back(g);
     return true;
@@ -219,15 +287,14 @@ std::vector<GateId> CandidateFinder::build_pool(
   // nearby signals share support and are the most likely permissible
   // replacements (and the cheapest to wire).
   std::vector<GateId> frontier{around};
-  std::vector<std::uint8_t> visited(netlist_->num_slots(), 0);
-  visited[around] = 1;
+  marks.visited[around] = epoch;
   while (!frontier.empty() &&
          static_cast<int>(pool.size()) < options_.local_pool_size) {
     std::vector<GateId> next;
     for (GateId g : frontier) {
       auto visit = [&](GateId n) {
-        if (visited[n]) return;
-        visited[n] = 1;
+        if (marks.visited[n] == epoch) return;
+        marks.visited[n] = epoch;
         try_add(n);
         next.push_back(n);
       };
@@ -238,39 +305,44 @@ std::vector<GateId> CandidateFinder::build_pool(
     frontier = std::move(next);
   }
   // A few random signals for diversity (finds global equivalences the
-  // neighborhood misses). The indices were pre-drawn serially in site order
-  // so the RNG stream is identical to the serial harvest.
-  for (std::size_t idx : random_draws) try_add(signal_gates_[idx]);
+  // neighborhood misses), from the site's own stream.
+  for (int k = 0; k < options_.random_pool_size && !signal_gates_.empty(); ++k)
+    try_add(signal_gates_[rng.below(signal_gates_.size())]);
   return pool;
 }
 
-CandidateFinder::SitePrep CandidateFinder::prepare_site(
-    GateId target, const FanoutRef* branch) const {
-  SitePrep prep;
-  const auto sig_a = sim_->value(target);
-  prep.obs = branch == nullptr ? sim_->stem_observability(target)
-                               : sim_->branch_observability(target, *branch);
+double CandidateFinder::site_bound(GateId target,
+                                   const FanoutRef* branch) const {
+  CandidateSub cand = site_base(target, branch);
+  cand.rep = ReplacementFunction::constant(false);  // PG_A ignores the value
+  return compute_pg_a(*netlist_, *estimator_, cand);
+}
 
-  auto make_base = [&]() {
-    CandidateSub cand;
-    cand.target = target;
-    if (branch != nullptr) {
-      cand.branch = *branch;
-      cand.cls = SubstClass::kIS2;
-    } else {
-      cand.cls = SubstClass::kOS2;
-    }
-    return cand;
+void CandidateFinder::match_site(const Site& site,
+                                 std::vector<CandidateSub>* out) const {
+  const GateId target = site.target;
+  const FanoutRef* branch = site.branch ? &*site.branch : nullptr;
+  const int W = sim_->num_words();
+  const auto sig_a = sim_->value(target);
+  const std::vector<std::uint64_t> obs =
+      branch == nullptr ? sim_->stem_observability(target)
+                        : sim_->branch_observability(target, *branch);
+
+  auto finish = [&](CandidateSub cand) {
+    cand.pg_a = compute_pg_a(*netlist_, *estimator_, cand);
+    cand.pg_b = compute_pg_b(*netlist_, *estimator_, cand);
+    out->push_back(std::move(cand));
   };
+  auto make_base = [&]() { return site_base(target, branch); };
 
   // Constant replacement: permissible-by-evidence when the signal never
   // observably carries the other value (fully unobservable signals satisfy
   // both; pick the majority value so the dead cone keeps its polarity).
   if (options_.allow_constants) {
     bool can0 = true, can1 = true;
-    for (std::size_t w = 0; w < prep.obs.size(); ++w) {
-      if (sig_a[w] & prep.obs[w]) can0 = false;
-      if (~sig_a[w] & prep.obs[w]) can1 = false;
+    for (std::size_t w = 0; w < obs.size(); ++w) {
+      if (sig_a[w] & obs[w]) can0 = false;
+      if (~sig_a[w] & obs[w]) can1 = false;
       if (!can0 && !can1) break;
     }
     if (can0 || can1) {
@@ -278,52 +350,34 @@ CandidateFinder::SitePrep CandidateFinder::prepare_site(
       const bool value =
           can0 && can1 ? estimator_->probability(target) >= 0.5 : can1;
       cand.rep = ReplacementFunction::constant(value);
-      cand.pg_a = compute_pg_a(*netlist_, *estimator_, cand);
+      // Same cone, no sources: the site bound is this PG_A, bit for bit.
+      cand.pg_a = site.bound;
       cand.pg_b = compute_pg_b(*netlist_, *estimator_, cand);
-      prep.const_cand = std::move(cand);
-      if (all_zero(prep.obs)) prep.skip = true;  // nothing further here
+      out->push_back(std::move(cand));
     }
-  } else if (all_zero(prep.obs)) {
-    prep.skip = true;
   }
-  return prep;
-}
+  if (all_zero(obs)) return;  // nothing further here
 
-void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
-                                 const SitePrep& prep,
-                                 std::span<const std::size_t> random_draws,
-                                 std::vector<CandidateSub>* out) const {
-  const int W = sim_->num_words();
-  const auto sig_a = sim_->value(target);
-  const std::vector<std::uint64_t>& obs = prep.obs;
-
-  auto finish = [&](CandidateSub cand) {
-    cand.pg_a = compute_pg_a(*netlist_, *estimator_, cand);
-    cand.pg_b = compute_pg_b(*netlist_, *estimator_, cand);
-    out->push_back(std::move(cand));
-  };
-
-  auto make_base = [&]() {
-    CandidateSub cand;
-    cand.target = target;
-    if (branch != nullptr) {
-      cand.branch = *branch;
-      cand.cls = SubstClass::kIS2;
-    } else {
-      cand.cls = SubstClass::kOS2;
-    }
-    return cand;
-  };
-
-  // Forbidden region for sources: the faulty region of the site.
-  std::vector<std::uint8_t> forbidden(netlist_->num_slots(), 0);
+  // Forbidden region for sources: the faulty region of the site, marked by
+  // a stamped walk over the entry's transitive fanout.
+  thread_local SiteMarks marks;
+  const std::uint32_t epoch = marks.begin(netlist_->num_slots());
   const GateId entry = branch == nullptr ? target : branch->gate;
-  forbidden[entry] = 1;
-  for (GateId g : netlist_->tfo(entry)) forbidden[g] = 1;
-  forbidden[target] = 1;  // substituting a by a is a no-op
+  marks.forbidden[entry] = epoch;
+  marks.stack.assign(1, entry);
+  while (!marks.stack.empty()) {
+    const GateId g = marks.stack.back();
+    marks.stack.pop_back();
+    for (const FanoutRef& br : netlist_->fanouts(g)) {
+      if (marks.forbidden[br.gate] == epoch) continue;
+      marks.forbidden[br.gate] = epoch;
+      marks.stack.push_back(br.gate);
+    }
+  }
+  marks.forbidden[target] = epoch;  // substituting a by a is a no-op
 
-  const std::vector<GateId> pool =
-      build_pool(target, forbidden, random_draws);
+  Rng rng(site_seed(seed_, target, branch));
+  const std::vector<GateId> pool = build_pool(target, marks, rng);
 
   // --- 2-signal substitutions -------------------------------------------
   for (GateId b : pool) {
@@ -340,8 +394,13 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
   }
 
   // --- 3-signal substitutions (new 2-input library gate) -----------------
+  // A cell f(b, c) agrees with the target on every observable pattern iff
+  // f maps each input minterm to every observable target value that minterm
+  // covers. One pass over the words per (b, c) pair finds the minterms that
+  // must map to 1 and those that must map to 0 (a minterm in both rules out
+  // every cell); each cell's test is then a check of its 4-bit onset.
   if (!options_.resub.enable_three_subs) return;
-  const auto& cells = netlist_->library().two_input_cells();
+  const CellLibrary& library = netlist_->library();
   int made = 0;
   const int b_limit = std::min<int>(options_.resub.three_sub_b_pool,
                                     static_cast<int>(pool.size()));
@@ -352,23 +411,28 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
     for (GateId c : pool) {
       if (c == b) continue;
       const auto sig_c = sim_->value(c);
-      for (CellId cell_id : cells) {
-        const Cell& cell = netlist_->library().cell(cell_id);
-        const TruthTable& f = cell.function;
-        bool ok = true;
-        for (int w = 0; w < W && ok; ++w) {
-          const std::uint64_t bw = sig_b[static_cast<std::size_t>(w)];
-          const std::uint64_t cw = sig_c[static_cast<std::size_t>(w)];
-          std::uint64_t r = 0;
-          if (f.bit(0)) r |= ~bw & ~cw;
-          if (f.bit(1)) r |= bw & ~cw;
-          if (f.bit(2)) r |= ~bw & cw;
-          if (f.bit(3)) r |= bw & cw;
-          if ((r ^ sig_a[static_cast<std::size_t>(w)]) &
-              obs[static_cast<std::size_t>(w)])
-            ok = false;
+      unsigned need1 = 0, need0 = 0;
+      for (int w = 0; w < W && (need1 & need0) == 0; ++w) {
+        const std::uint64_t bw = sig_b[static_cast<std::size_t>(w)];
+        const std::uint64_t cw = sig_c[static_cast<std::size_t>(w)];
+        const std::uint64_t on = sig_a[static_cast<std::size_t>(w)] &
+                                 obs[static_cast<std::size_t>(w)];
+        const std::uint64_t off = ~sig_a[static_cast<std::size_t>(w)] &
+                                  obs[static_cast<std::size_t>(w)];
+        const std::uint64_t minterms[4] = {~bw & ~cw, bw & ~cw, ~bw & cw,
+                                           bw & cw};
+        for (unsigned m = 0; m < 4; ++m) {
+          if (minterms[m] & on) need1 |= 1u << m;
+          if (minterms[m] & off) need0 |= 1u << m;
         }
-        if (!ok) continue;
+      }
+      if (need1 & need0) continue;
+      for (CellId cell_id : library.two_input_cells()) {
+        const TruthTable& f = library.cell(cell_id).function;
+        unsigned onset = 0;
+        for (unsigned m = 0; m < 4; ++m)
+          if (f.bit(m)) onset |= 1u << m;
+        if ((onset & need1) != need1 || (onset & need0) != 0) continue;
         // Skip degenerate functions (constant or single-input): the
         // 2-signal pass already covers those shapes more cheaply.
         if (!f.depends_on(0) || !f.depends_on(1)) continue;
@@ -466,10 +530,10 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
   }
 }
 
-std::vector<CandidateSub> CandidateFinder::find() {
+std::vector<CandidateSub> CandidateFinder::find(bool prune) {
   refresh_index();
-  // Enumerate the sites in the serial harvest's order: for each signal, the
-  // stem first, then every branch of multi-fanout stems.
+  // Enumerate the sites in site order: for each signal, the stem first,
+  // then every branch of multi-fanout stems.
   std::vector<Site> sites;
   for (GateId g : signal_gates_) {
     const std::span<const FanoutRef> fanouts = netlist_->fanouts(g);
@@ -481,50 +545,59 @@ std::vector<CandidateSub> CandidateFinder::find() {
     if (fanouts.size() > 1)
       for (const FanoutRef& br : fanouts) sites.push_back(Site{g, br});
   }
-
-  // Pass 1 (parallel): observability masks, constant candidates, skip flags.
-  std::vector<SitePrep> preps(sites.size());
   for_sites(sites.size(), [&](std::size_t i) {
-    const Site& s = sites[i];
-    preps[i] =
-        prepare_site(s.target, s.branch ? &*s.branch : nullptr);
+    Site& s = sites[i];
+    s.bound = site_bound(s.target, s.branch ? &*s.branch : nullptr);
   });
 
-  // Pass 2 (serial, site order): pre-draw the random pool indices so the
-  // RNG stream matches the serial harvest exactly — it always drew
-  // `random_pool_size` indices per non-skipped site, in site order.
-  std::vector<std::vector<std::size_t>> draws(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (preps[i].skip) continue;
-    for (int k = 0; k < options_.random_pool_size && !signal_gates_.empty();
-         ++k)
-      draws[i].push_back(rng_.below(signal_gates_.size()));
-  }
-
-  // Pass 3 (parallel): pool construction + signature matching per site,
-  // each site writing its own output slice.
+  // Visit order: bound descending, ties in site order. Each batch matches
+  // the sites that can reach the threshold fixed before it, each into its
+  // own slice; the k best gains so far then raise the next threshold.
+  std::vector<std::size_t> order(sites.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return sites[x].bound > sites[y].bound;
+                   });
+  const auto k = static_cast<std::size_t>(std::max(0, options_.max_candidates));
+  std::priority_queue<double, std::vector<double>, std::greater<>> best;
   std::vector<std::vector<CandidateSub>> slices(sites.size());
-  for_sites(sites.size(), [&](std::size_t i) {
-    const Site& s = sites[i];
-    std::vector<CandidateSub>& slice = slices[i];
-    if (preps[i].const_cand) slice.push_back(*preps[i].const_cand);
-    if (preps[i].skip) return;
-    match_site(s.target, s.branch ? &*s.branch : nullptr, preps[i], draws[i],
-               &slice);
-  });
+  std::size_t next = 0;
+  while (next < order.size()) {
+    const double threshold = prune && k > 0 && best.size() == k
+                                 ? best.top()
+                                 : -std::numeric_limits<double>::infinity();
+    const std::size_t end = std::min(next + batch_sites_, order.size());
+    std::size_t stop = next;
+    while (stop < end && reaches(sites[order[stop]].bound, threshold)) ++stop;
+    for_sites(stop - next, [&](std::size_t i) {
+      const std::size_t s = order[next + i];
+      match_site(sites[s], &slices[s]);
+    });
+    for (std::size_t i = next; i < stop && k > 0; ++i)
+      for (const CandidateSub& cand : slices[order[i]]) {
+        best.push(cand.preselect_gain());
+        if (best.size() > k) best.pop();
+      }
+    next = stop;
+    if (stop < end) break;  // bounds only fall from here
+  }
+  last_sites_ = sites.size();
+  last_sites_matched_ = next;
 
+  // The total order: gain descending, then site order, then order within
+  // the site.
   std::vector<CandidateSub> out;
   for (std::vector<CandidateSub>& slice : slices)
     for (CandidateSub& cand : slice) out.push_back(std::move(cand));
-  std::sort(out.begin(), out.end(),
-            [](const CandidateSub& x, const CandidateSub& y) {
-              return x.preselect_gain() > y.preselect_gain();
-            });
+  std::stable_sort(out.begin(), out.end(),
+                   [](const CandidateSub& x, const CandidateSub& y) {
+                     return x.preselect_gain() > y.preselect_gain();
+                   });
   last_truncated_ = 0;
-  if (static_cast<int>(out.size()) > options_.max_candidates) {
-    last_truncated_ =
-        out.size() - static_cast<std::size_t>(options_.max_candidates);
-    out.resize(static_cast<std::size_t>(options_.max_candidates));
+  if (out.size() > k) {
+    last_truncated_ = out.size() - k;
+    out.resize(k);
   }
   return out;
 }

@@ -14,19 +14,36 @@
 // keep the quadratic step affordable, mirroring the windowed clause
 // analysis of the TOS implementation.
 //
-// When a ThreadPool is supplied, harvesting runs as three passes — a
-// parallel observability pass, a serial RNG pre-draw, and a parallel
-// signature-bucket matching pass over per-site slices — that together
-// reproduce the serial harvest bit-for-bit (same candidates, same order,
-// same RNG stream) at any thread count.
+// Bound, then match (the paper's §3.5 preselection, one step earlier).
+// Every site's gain is bounded by the PG_A of a constant replacement there:
+// PG_B <= 0 for every replacement kind, and any other replacement keeps its
+// sources alive, which can only shrink the removed cone. find() computes
+// that bound for every site, then visits the sites in descending bound
+// order in fixed-size batches (kBatchSites, independent of the thread
+// count). Before each batch it fixes a threshold — the k-th best gain
+// harvested so far, k = max_candidates — and only sites whose bound can
+// still reach it (bound + slack >= threshold; ties are kept) run the
+// observability pass and pool + signature matching; the first site that
+// falls short ends the harvest, because bounds only fall from there. The
+// threshold never exceeds the final k-th gain, so a pruned site holds no
+// candidate that could have been kept.
+//
+// The output order is total: preselection gain descending, then site order
+// (each signal's stem before its branches, signals ascending), then order
+// within the site. Each site draws its random pool from its own RNG
+// stream, seeded from the iteration seed and the site (target, branch
+// gate, pin). Together these make the result independent of which sites
+// were pruned and of the thread count: a batch's sites are matched in
+// parallel into per-site slices, and nothing a site computes depends on
+// another site.
 //
 // The finder is persistent across optimization iterations: it subscribes
 // to the netlist delta bus (membership changes) and drains the simulator's
 // refreshed-gate accumulator (signature changes), and find() re-hashes
 // only the gates dirtied since the previous harvest. The maintained index
 // is structurally identical to a fresh rebuild — signal list ascending,
-// signature buckets sorted — so a persistent finder with the same RNG
-// stream returns bit-identical candidates.
+// signature buckets sorted — so a persistent finder with the same seed
+// returns bit-identical candidates.
 
 #include <optional>
 #include <span>
@@ -71,6 +88,16 @@ struct CandidateOptions {
 
 class CandidateFinder final : public NetlistObserver {
  public:
+  /// Sites visited per pruning batch. The threshold is fixed before each
+  /// batch, so the batch size — not the thread count — decides which sites
+  /// are matched; it never changes the output.
+  static constexpr std::size_t kBatchSites = 256;
+  /// Relative slack on a site bound before it is compared with the
+  /// threshold: a candidate whose sources stay alive inside the MFFC can
+  /// have a PG_A mathematically equal to the bound but summed in another
+  /// order.
+  static constexpr double kBoundSlack = 1e-9;
+
   CandidateFinder(const Netlist& netlist, const PowerModel& estimator,
                   CandidateOptions options = {}, std::uint64_t seed = 1,
                   ThreadPool* pool = nullptr);
@@ -78,14 +105,16 @@ class CandidateFinder final : public NetlistObserver {
   CandidateFinder(const CandidateFinder&) = delete;
   CandidateFinder& operator=(const CandidateFinder&) = delete;
 
-  /// Harvests candidates, with pg_a/pg_b filled, sorted by decreasing
-  /// preselection gain and truncated to max_candidates. Refreshes the
-  /// signature index first (requires a clean simulator).
-  std::vector<CandidateSub> find();
+  /// Harvests candidates, with pg_a/pg_b filled, in the total order
+  /// (preselection gain descending, then site order, then order within the
+  /// site) and truncated to max_candidates. Refreshes the signature index
+  /// first (requires a clean simulator).
+  std::vector<CandidateSub> find() { return find(/*prune=*/true); }
 
-  /// Restarts the RNG stream (one reseed per optimization iteration keeps
-  /// the harvest identical to a freshly constructed finder).
-  void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
+  /// Sets the iteration seed every site's random-pool stream derives from
+  /// (one reseed per optimization iteration keeps the harvest identical to
+  /// a freshly constructed finder).
+  void reseed(std::uint64_t seed) { seed_ = seed; }
 
   /// Attaches a trace session (borrowed, may be null). Parallel harvest
   /// passes then emit one "harvest_shard" span per worker shard, which is
@@ -101,32 +130,34 @@ class CandidateFinder final : public NetlistObserver {
   std::size_t last_refresh_count() const { return last_refresh_count_; }
   bool last_refresh_full() const { return last_refresh_full_; }
   std::size_t index_size() const { return signal_gates_.size(); }
-  /// Candidates dropped by the max_candidates cap in the last find().
-  /// Non-zero means the harvest was NOT full coverage of the netlist.
+  /// Candidates scored and then dropped by the max_candidates cap in the
+  /// last find(). Non-zero means the harvest was NOT full coverage of the
+  /// netlist. Sites pruned by their bound are not counted here.
   std::size_t last_truncated() const { return last_truncated_; }
+  /// Sites the last find() bounded, and how many of them it matched (the
+  /// rest were pruned: their bound could not reach the k-th best gain).
+  std::size_t last_sites() const { return last_sites_; }
+  std::size_t last_sites_matched() const { return last_sites_matched_; }
 
  private:
-  /// One harvesting site: a stem (no branch) or a single fanout branch.
+  friend struct CandidateFinderTestAccess;
+
+  /// One harvesting site: a stem (no branch) or a single fanout branch,
+  /// with its bound (the PG_A of a constant replacement there).
   struct Site {
     GateId target{};
     std::optional<FanoutRef> branch;
-  };
-
-  /// Pass-1 result for a site: everything derivable without touching the
-  /// shared RNG.
-  struct SitePrep {
-    std::vector<std::uint64_t> obs;
-    bool skip = false;  ///< site is done after the (optional) constant cand
-    std::optional<CandidateSub> const_cand;
+    double bound = 0.0;
   };
 
   const Netlist* netlist_;
   const PowerModel* estimator_;
   const Simulator* sim_;
   CandidateOptions options_;
-  Rng rng_;
+  std::uint64_t seed_;
   ThreadPool* pool_;
   TraceSession* trace_ = nullptr;
+  std::size_t batch_sites_ = kBatchSites;  // smaller only in tests
 
   std::vector<GateId> signal_gates_;  // live PIs + cells, ascending
   // Global equivalence index: hash of the value signature (and of its
@@ -146,6 +177,12 @@ class CandidateFinder final : public NetlistObserver {
   std::size_t last_refresh_count_ = 0;
   bool last_refresh_full_ = true;
   std::size_t last_truncated_ = 0;
+  std::size_t last_sites_ = 0;
+  std::size_t last_sites_matched_ = 0;
+
+  /// The harvest; `prune` = false matches every site (the parity oracle's
+  /// reference, reachable from tests only).
+  std::vector<CandidateSub> find(bool prune);
 
   void rebuild_index();
   void refresh_index();
@@ -153,17 +190,18 @@ class CandidateFinder final : public NetlistObserver {
   void index_insert(GateId g);
   void index_erase(GateId g);
 
-  /// Runs fn(i) for every site index, sharded across the pool when one is
+  /// Runs fn(i) for every i < n, sharded across the pool when one is
   /// attached (shards are claimed dynamically for load balance).
   void for_sites(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  SitePrep prepare_site(GateId target, const FanoutRef* branch) const;
-  std::vector<GateId> build_pool(
-      GateId around, const std::vector<std::uint8_t>& forbidden,
-      std::span<const std::size_t> random_draws) const;
-  void match_site(GateId target, const FanoutRef* branch, const SitePrep& prep,
-                  std::span<const std::size_t> random_draws,
-                  std::vector<CandidateSub>* out) const;
+  /// The site's bound: the PG_A of a constant replacement at the site.
+  double site_bound(GateId target, const FanoutRef* branch) const;
+  struct SiteMarks;
+  std::vector<GateId> build_pool(GateId around, SiteMarks& marks,
+                                 Rng& rng) const;
+  /// Observability, the constant candidate and pool + signature matching
+  /// for one site, appended to `out` in the site's own order.
+  void match_site(const Site& site, std::vector<CandidateSub>* out) const;
 };
 
 }  // namespace powder

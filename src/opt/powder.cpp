@@ -292,6 +292,11 @@ PowderReport PowderOptimizer::run() {
   const Meter m_truncated =
       meter("powder_harvest_truncated_total",
             "Candidates dropped because a harvest hit max_candidates");
+  const Meter m_sites =
+      meter("powder_harvest_sites_total", "Sites the harvests bounded");
+  const Meter m_sites_matched = meter(
+      "powder_harvest_sites_matched_total",
+      "Sites whose bound reached the k-th best gain and were matched");
   const Meter m_funcred =
       meter("powder_funcred_merges_total",
             "Signals merged away by the functional-reduction pre-pass");
@@ -794,6 +799,8 @@ PowderReport PowderOptimizer::run() {
       m_guard_rb.c->inc(res.stats.guard_rollbacks);
       m_inline.c->inc(res.stats.inline_proofs);
       m_truncated.c->inc(res.stats.truncated);
+      m_sites.c->inc(res.stats.sites);
+      m_sites_matched.c->inc(res.stats.sites_matched);
       m_pgc_evals.c->inc(res.stats.selection.pgc_evaluations);
       m_pgc_memo.c->inc(res.stats.selection.pgc_memo_hits);
       m_pgc_cone.c->inc(res.stats.replay.cone_gates);
@@ -1023,6 +1030,8 @@ PowderReport PowderOptimizer::run() {
         if (prog != nullptr) prog->phase(audit_iteration, "harvest");
         cands = finder->find();
         harvest_span.arg("candidates", static_cast<long long>(cands.size()));
+        harvest_span.arg("sites_matched",
+                         static_cast<long long>(finder->last_sites_matched()));
       }
       if (prog != nullptr)
         prog->phase(audit_iteration, "proof",
@@ -1031,6 +1040,9 @@ PowderReport PowderOptimizer::run() {
       for (const CandidateSub& c : cands)
         m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
       m_truncated.c->inc(static_cast<long long>(finder->last_truncated()));
+      m_sites.c->inc(static_cast<long long>(finder->last_sites()));
+      m_sites_matched.c->inc(
+          static_cast<long long>(finder->last_sites_matched()));
       if (outer >= 1) {
         report.diagnostics.candidate_gates_refreshed +=
             static_cast<long>(finder->last_refresh_count());
@@ -1214,6 +1226,9 @@ PowderReport PowderOptimizer::run() {
       static_cast<long>(m_funcred.delta());
   report.diagnostics.resub.harvest_truncated =
       static_cast<long>(m_truncated.delta());
+  report.diagnostics.resub.harvest_sites = static_cast<long>(m_sites.delta());
+  report.diagnostics.resub.harvest_sites_matched =
+      static_cast<long>(m_sites_matched.delta());
 
   // Close the WAL with its end marker. Commits the end-of-run walk rolled
   // back stay recorded — a resume re-applies them and its own walk rolls
@@ -1267,6 +1282,8 @@ PowderReport PowderOptimizer::run() {
   report.diagnostics.name_pool_bytes =
       static_cast<long>(netlist_->name_pool_bytes());
   report.diagnostics.peak_rss_bytes = static_cast<long>(peak_rss_bytes());
+  if (trace != nullptr)
+    report.diagnostics.trace_dropped = static_cast<long>(trace->dropped());
   report.cpu_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
           .count();

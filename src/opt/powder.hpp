@@ -379,6 +379,10 @@ struct PowderReport {
     long pin_slabs_recycled = 0;   ///< slab reuses served by the freelists
     long name_pool_bytes = 0;      ///< bytes held by the interned-name pool
     long peak_rss_bytes = 0;       ///< VmHWM sampled at end of run (0=unknown)
+    /// Events the attached trace session dropped on full rings by the end
+    /// of the run (0 without a session): non-zero means span totals
+    /// undercount.
+    long trace_dropped = 0;
 
     /// Windowed-mode accounting (DESIGN.md §11); all zero in global mode.
     /// Versioned with the report schema: fields are only ever added within
@@ -406,6 +410,8 @@ struct PowderReport {
       std::array<PerClass, kNumResubClasses> by_class;
       long funcred_merges = 0;     ///< pre-pass equivalence merges kept
       long harvest_truncated = 0;  ///< candidates dropped by max_candidates
+      long harvest_sites = 0;          ///< sites the harvests bounded
+      long harvest_sites_matched = 0;  ///< sites matched, not bound-pruned
     };
     Resub resub;
 

@@ -153,7 +153,11 @@ void TraceSession::write_chrome_json(std::ostream& os) {
                      return std::strcmp(a.event.name, b.event.name) < 0;
                    });
 
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  // The session's own counts ride in `otherData` (the trace-event format's
+  // metadata object): a trace that dropped events says so itself.
+  os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"events_recorded\":"
+     << events_recorded() << ",\"dropped\":" << dropped()
+     << "},\"traceEvents\":[\n";
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
         "\"args\":{\"name\":\"powder\"}}";
   for (const TaggedEvent& te : events) {

@@ -80,7 +80,8 @@ class TraceSession {
 
   /// Drains and writes the full Chrome trace-event JSON document. Events
   /// are sorted (start time, longest-first on ties) so output is
-  /// deterministic given deterministic timestamps.
+  /// deterministic given deterministic timestamps. The top-level
+  /// `otherData` object records `events_recorded` and `dropped`.
   void write_chrome_json(std::ostream& os);
   std::string chrome_json();
 

@@ -113,6 +113,9 @@ WindowResult optimize_window(WindowExtraction& ex,
     std::vector<CandidateSub> cands = finder.find();
     result.stats.harvested += static_cast<long>(cands.size());
     result.stats.truncated += static_cast<long>(finder.last_truncated());
+    result.stats.sites += static_cast<long>(finder.last_sites());
+    result.stats.sites_matched +=
+        static_cast<long>(finder.last_sites_matched());
     for (const CandidateSub& c : cands)
       ++result.stats.harvested_by_class[static_cast<std::size_t>(c.cls)];
 

@@ -55,6 +55,8 @@ struct WindowLocalStats {
   long inline_proofs = 0;
   long replayed = 0;   ///< proofs answered by the WAL oracle
   long truncated = 0;  ///< candidates dropped by the max_candidates cap
+  long sites = 0;          ///< harvest sites bounded
+  long sites_matched = 0;  ///< harvest sites matched (bound not pruned)
   /// Per-resubstitution-class harvest/proof counts (diagnostics.resub).
   std::array<long, kNumResubClasses> harvested_by_class{};
   std::array<long, kNumResubClasses> proved_by_class{};

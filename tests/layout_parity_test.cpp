@@ -11,7 +11,9 @@
 // order, a changed substitution choice — fails loudly and diffably. The
 // `*.timed.*` goldens pin the same flow under the timed power model (64
 // vector pairs); they were recorded with the whole-copy timed PG_C that
-// the cone-local replay replaced.
+// the cone-local replay replaced. All goldens were re-recorded once when
+// the harvest's candidate order became total and its random pools became
+// per-site streams (DESIGN.md §5b).
 
 #include <gtest/gtest.h>
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
@@ -221,6 +222,45 @@ TEST(ParallelParity, ProofWorkIsThreadCountInvariant) {
   EXPECT_EQ(threaded.podem_checks, serial.podem_checks);
   EXPECT_EQ(threaded.sat_checks, serial.sat_checks);
   EXPECT_EQ(threaded.audit_lines, serial.audit_lines);
+}
+
+// The bound-pruned harvest fixes each batch's threshold before matching
+// it, so which sites are matched — and every harvest counter — must not
+// depend on the thread count either. scale500's harvests hit the cap, so
+// the bound prunes there.
+TEST(ParallelParity, HarvestWorkIsThreadCountInvariant) {
+  const Netlist initial = make_scale_netlist(500);
+  struct HarvestWork {
+    std::string blif;
+    long sites, matched, truncated;
+    long long sites_counter, matched_counter;
+  };
+  auto run = [&](int threads) {
+    Netlist nl = initial;
+    MetricsRegistry metrics;
+    const PowderReport r = optimize(
+        nl,
+        PowderOptions::builder().seed(7).threads(threads).metrics(&metrics)
+            .build());
+    const PowderReport::Diagnostics::Resub& d = r.diagnostics.resub;
+    return HarvestWork{
+        write_blif(nl), d.harvest_sites, d.harvest_sites_matched,
+        d.harvest_truncated,
+        metrics.counter("powder_harvest_sites_total")->value(),
+        metrics.counter("powder_harvest_sites_matched_total")->value()};
+  };
+  const HarvestWork serial = run(1);
+  const HarvestWork threaded = run(4);
+  EXPECT_GT(serial.matched, 0);
+  EXPECT_LT(serial.matched, serial.sites);
+  EXPECT_EQ(serial.sites_counter, serial.sites);
+  EXPECT_EQ(serial.matched_counter, serial.matched);
+  EXPECT_EQ(threaded.blif, serial.blif);
+  EXPECT_EQ(threaded.sites, serial.sites);
+  EXPECT_EQ(threaded.matched, serial.matched);
+  EXPECT_EQ(threaded.truncated, serial.truncated);
+  EXPECT_EQ(threaded.sites_counter, serial.sites_counter);
+  EXPECT_EQ(threaded.matched_counter, serial.matched_counter);
 }
 
 TEST(ParallelParity, ThreadsZeroMeansAllCoresAndStaysDeterministic) {

@@ -89,6 +89,10 @@ TEST(TraceSession, CountsRecordedAndDropped) {
   // Draining frees ring slots: recording works again.
   session.record_span("ev", "test", trace_now_ns(), 1);
   EXPECT_EQ(session.events_recorded(), 5u);
+  // The exported document records the drops itself.
+  EXPECT_NE(session.chrome_json().find(
+                "\"otherData\":{\"events_recorded\":5,\"dropped\":2}"),
+            std::string::npos);
 }
 
 TEST(TraceSession, SpanNestingIsContained) {
@@ -143,7 +147,8 @@ TEST(TraceSession, ChromeJsonGolden) {
   session.record_span("a", "phase", t0 + 1000, 2000, "x", 7, "y", -3);
   session.record_span("b", "phase", t0 + 1500, 500);
   const std::string expected =
-      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"events_recorded\":2,"
+      "\"dropped\":0},\"traceEvents\":[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
       "\"args\":{\"name\":\"powder\"}},\n"
       "{\"name\":\"a\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
@@ -368,6 +373,21 @@ TEST(Audit, LineCountMatchesCandidatesConsideredThreaded) {
   EXPECT_EQ(r.metrics_json, metrics.to_json());
   EXPECT_NE(r.to_json().find("\"metrics\":" + r.metrics_json),
             std::string::npos);
+}
+
+TEST(TracedOptimize, ReportCountsTraceDrops) {
+  TraceSession tiny(/*events_per_thread=*/4);
+  const PowderReport r = run_traced(1, &tiny, nullptr, nullptr);
+  EXPECT_GT(r.diagnostics.trace_dropped, 0);
+  EXPECT_LE(r.diagnostics.trace_dropped,
+            static_cast<long>(tiny.dropped()));
+  EXPECT_NE(r.to_json().find("\"trace_dropped\":" +
+                             std::to_string(r.diagnostics.trace_dropped)),
+            std::string::npos);
+
+  TraceSession roomy;
+  EXPECT_EQ(run_traced(1, &roomy, nullptr, nullptr).diagnostics.trace_dropped,
+            0);
 }
 
 TEST(TracedOptimize, SerialRunEmitsSpansAndMetrics) {

@@ -561,9 +561,12 @@ int cmd_optimize(const Args& a) {
              "signal(s)\n",
              d.resub.funcred_merges);
   if (d.resub.harvest_truncated > 0)
-    progress("powder: WARNING: %ld candidate(s) dropped because a harvest "
-             "hit max_candidates; raise the cap to consider them\n",
-             d.resub.harvest_truncated);
+    progress("powder: WARNING: %ld scored candidate(s) fell outside a "
+             "harvest's max_candidates cap (%ld of %ld site(s) matched; the "
+             "rest were bounded below the cap); raise the cap to consider "
+             "them\n",
+             d.resub.harvest_truncated, d.resub.harvest_sites_matched,
+             d.resub.harvest_sites);
   if (d.resume_replayed > 0)
     progress("powder: replayed %lld checkpointed substitution(s)\n",
              static_cast<long long>(d.resume_replayed));
