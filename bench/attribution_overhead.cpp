@@ -108,7 +108,8 @@ int main() {
   bool ok = true;
   std::ostringstream json;
   json.precision(17);
-  json << "{\"probe_ns\":" << probe_ns << ",\"budget_percent\":"
+  json << "{\"powder_build_type\":\"" << bench::build_type()
+       << "\",\"probe_ns\":" << probe_ns << ",\"budget_percent\":"
        << kBudgetPercent << ",\"safety_factor\":" << kSafetyFactor
        << ",\"circuits\":[";
   bool first = true;

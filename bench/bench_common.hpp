@@ -19,6 +19,17 @@
 
 namespace powder::bench {
 
+/// This build's CMake build type, recorded in every BENCH_*.json as
+/// "powder_build_type" (the Google Benchmark context's `library_build_type`
+/// describes the benchmark library, not this code).
+inline const char* build_type() {
+#ifdef POWDER_BUILD_TYPE
+  return POWDER_BUILD_TYPE;
+#else
+  return "unknown";
+#endif
+}
+
 inline int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
   return v != nullptr ? std::atoi(v) : fallback;

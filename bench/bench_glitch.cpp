@@ -71,7 +71,8 @@ int main() {
               "glitch%", "0d-opt", "timed-opt", "delta%");
 
   std::ostringstream js;
-  js << "{\"circuits\":[";
+  js << "{\"powder_build_type\":\"" << bench::build_type()
+     << "\",\"circuits\":[";
   int wins = 0;
   bool guard_failed = false;
   bool first = true;

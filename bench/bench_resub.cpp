@@ -143,7 +143,8 @@ int main() {
 
   std::ostringstream json;
   json.precision(17);
-  json << "{\"gates\":" << gates << ",\"patterns\":" << patterns
+  json << "{\"powder_build_type\":\"" << bench::build_type()
+       << "\",\"gates\":" << gates << ",\"patterns\":" << patterns
        << ",\"max_divisors\":" << max_divisors << ",";
   json_mode(json, "funcred_only", funcred_run);
   json << ",";

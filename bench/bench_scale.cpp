@@ -165,7 +165,8 @@ int main() {
 
   std::ostringstream json;
   json.precision(17);
-  json << "{\"gates\":" << gates << ",\"patterns\":" << patterns
+  json << "{\"powder_build_type\":\"" << bench::build_type()
+       << "\",\"gates\":" << gates << ",\"patterns\":" << patterns
        << ",\"window_size\":" << window_size
        << ",\"window_overlap\":" << window_overlap << ",";
   json_mode(json, "global", global_run);

@@ -118,7 +118,10 @@ int main() {
 
   FILE* json = std::fopen("BENCH_incremental.json", "w");
   POWDER_CHECK_MSG(json != nullptr, "cannot write BENCH_incremental.json");
-  std::fprintf(json, "{\"patterns\":%d,\"circuits\":[", patterns);
+  std::fprintf(json,
+               "{\"powder_build_type\":\"%s\",\"patterns\":%d,"
+               "\"circuits\":[",
+               bench::build_type(), patterns);
 
   bool first = true;
   for (const Row& r : rows) {

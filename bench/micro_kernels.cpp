@@ -166,4 +166,13 @@ BENCHMARK(BM_LayoutSignatureRehash);
 }  // namespace
 }  // namespace powder
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The context's library_build_type describes the Google Benchmark
+  // library; record this code's own build type next to it.
+  benchmark::AddCustomContext("powder_build_type", POWDER_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

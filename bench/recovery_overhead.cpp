@@ -96,7 +96,8 @@ int main() {
   bool ok = true;
   std::ostringstream json;
   json.precision(17);
-  json << "{\"ladder_probe_ns\":" << ladder_ns
+  json << "{\"powder_build_type\":\"" << bench::build_type()
+       << "\",\"ladder_probe_ns\":" << ladder_ns
        << ",\"recorder_probe_ns\":" << recorder_ns
        << ",\"budget_percent\":" << kBudgetPercent
        << ",\"safety_factor\":" << kSafetyFactor << ",\"circuits\":[";

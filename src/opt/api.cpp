@@ -175,6 +175,12 @@ std::string PowderReport::to_json() const {
   os << "\"kind\":\"" << diagnostics.power_model.kind << "\"";
   append_field(os, "vector_pairs", diagnostics.power_model.vector_pairs, &pf);
   append_field(os, "timed_resims", diagnostics.power_model.timed_resims, &pf);
+  append_field(os, "cone_refreshes", diagnostics.power_model.cone_refreshes,
+               &pf);
+  append_field(os, "refresh_cone_gates",
+               diagnostics.power_model.refresh_cone_gates, &pf);
+  append_field(os, "refresh_fallback_pairs",
+               diagnostics.power_model.refresh_fallback_pairs, &pf);
   append_field(os, "event_overflows", diagnostics.power_model.event_overflows,
                &pf);
   append_field(os, "glitch_share", diagnostics.power_model.glitch_share, &pf);

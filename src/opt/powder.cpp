@@ -464,8 +464,19 @@ PowderReport PowderOptimizer::run() {
   // actually executed, so draining them brings every cache in line with
   // whatever state the netlist is in.
   auto resync = [&]() {
-    model.refresh();  // refreshes the base estimator first, then (timed
-                      // model only) re-runs the event-driven estimate
+    if (timed_model.has_value()) {
+      // The base estimator first, so the span covers the timed model's
+      // cone refresh alone.
+      est.refresh();
+      const GlitchReplayStats before = timed_model->refresh_stats();
+      TraceSpan span(trace, "timed_refresh", "power");
+      timed_model->refresh();
+      const GlitchReplayStats& after = timed_model->refresh_stats();
+      span.arg("cone_gates", after.cone_gates - before.cone_gates);
+      span.arg("fallback_pairs", after.fallback_pairs - before.fallback_pairs);
+    } else {
+      model.refresh();
+    }
     verify_sim.refresh();
   };
 
@@ -1255,6 +1266,12 @@ PowderReport PowderOptimizer::run() {
     report.diagnostics.power_model.vector_pairs =
         timed_model->glitch_options().num_vector_pairs;
     report.diagnostics.power_model.timed_resims = timed_model->resim_count();
+    report.diagnostics.power_model.cone_refreshes =
+        timed_model->cone_refreshes();
+    report.diagnostics.power_model.refresh_cone_gates =
+        timed_model->refresh_stats().cone_gates;
+    report.diagnostics.power_model.refresh_fallback_pairs =
+        timed_model->refresh_stats().fallback_pairs;
     report.diagnostics.power_model.event_overflows =
         timed_model->event_overflows();
     report.diagnostics.power_model.glitch_share =

@@ -431,7 +431,12 @@ struct PowderReport {
     struct PowerModelDiag {
       std::string kind = "zero-delay";
       int vector_pairs = 0;       ///< event-sim sample size per estimate
-      long timed_resims = 0;      ///< full event-driven recomputations
+      long timed_resims = 0;      ///< full event-driven estimates
+      /// Post-commit refreshes that replayed the edits' cone instead, the
+      /// gates they replayed and the pairs they re-simulated in full.
+      long cone_refreshes = 0;
+      long refresh_cone_gates = 0;
+      long refresh_fallback_pairs = 0;
       long event_overflows = 0;   ///< pairs truncated by the event budget
       double glitch_share = 0.0;  ///< final (timed - zero-delay) / timed
       // Selection-loop PG_C work (both models): values computed, and
@@ -439,7 +444,7 @@ struct PowderReport {
       long pgc_evaluations = 0;
       long pgc_memo_hits = 0;
       // Timed PG_C replays: affected-set gates simulated, and vector pairs
-      // re-simulated in full on the scratch copy instead.
+      // re-simulated in full instead.
       long pgc_cone_gates = 0;
       long pgc_fallback_pairs = 0;
     };

@@ -209,23 +209,23 @@ double zero_delay_pg_c(const Netlist& netlist, const PowerModel& est,
   return gain;
 }
 
-/// Timed PG_C: apply the substitution to a scratch copy (the same pattern
-/// as the optimizer's trial STA), re-estimate it by replaying the event
-/// simulation over the copy's affected cone only (TimedPowerModel::
-/// trial_power, bitwise equal to a full estimate of the copy), and book the
+/// Timed PG_C: plan the substitution (the same plan the delay check
+/// overlays), re-estimate the planned netlist by replaying the event
+/// simulation over the edit's cone only (TimedPowerModel::trial_power,
+/// bitwise equal to a full estimate of the edited netlist), and book the
 /// exact glitch-inclusive delta minus the PG_A + PG_B already carried by
 /// `sub` — so pg_a + pg_b + pg_c is the measured timed power saving.
 double timed_pg_c(const Netlist& netlist, const TimedPowerModel& est,
                   const CandidateSub& sub) {
-  Netlist scratch = netlist;  // copies drop observers: mutations stay local
+  EditPlan plan;
   try {
-    (void)apply_substitution(scratch, sub);
+    plan = plan_substitution(netlist, sub);
   } catch (const CheckError&) {
-    // Structurally inapplicable on the scratch copy (stale candidate);
-    // report a hopeless gain so the loop discards it.
+    // Structurally inapplicable (stale candidate); report a hopeless gain
+    // so the loop discards it.
     return -est.total_power();
   }
-  return (est.total_power() - est.trial_power(scratch)) - sub.pg_a - sub.pg_b;
+  return (est.total_power() - est.trial_power(plan)) - sub.pg_a - sub.pg_b;
 }
 
 }  // namespace

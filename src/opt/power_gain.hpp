@@ -17,10 +17,11 @@
 //   PG_C absorbs the correction below.
 // PG_C (any sign): activity changes across the transitive fanout of the
 //   substituted signal. Zero-delay: a non-destructive trial simulation of
-//   exactly that region. Timed: an event-driven re-estimate of a scratch
-//   copy with the substitution applied, replaying only the copy's affected
-//   cone against the model's recorded base (bitwise equal to re-estimating
-//   the whole copy) — PG_C is defined as the measured
+//   exactly that region. Timed: an event-driven re-estimate of the
+//   planned substitution (plan_substitution overlaid on the live netlist,
+//   nothing copied or applied), replaying only the edit's affected cone
+//   against the model's recorded base (bitwise equal to re-estimating the
+//   whole edited netlist) — PG_C is defined as the measured
 //   glitch-inclusive delta minus the already-booked PG_A + PG_B, making
 //   total_gain() the exact timed power saving (requires pg_a/pg_b to be
 //   filled on `sub` before the call, which the optimizer's shortlist pass

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "opt/power_gain.hpp"
+#include "trace/trace.hpp"
 
 namespace powder {
 
@@ -44,6 +45,11 @@ std::size_t select_power_red_subst(
     // Area gain is exact — no shortlist re-estimation needed.
     return metric[order[0]] > best_gain ? order[0] : best;
   }
+  // Traced only when some PG_C is computed: a round served from the memo
+  // costs nothing worth a trace event.
+  const long evaluations = stats->pgc_evaluations;
+  const std::uint64_t t0 =
+      options.trace.trace != nullptr ? trace_now_ns() : 0;
   for (const std::size_t k : order) {
     CandidateSub& c = (*cands)[k];
     if (c.pg_c_memo) {
@@ -58,6 +64,10 @@ std::size_t select_power_red_subst(
       best = k;
     }
   }
+  if (options.trace.trace != nullptr && stats->pgc_evaluations > evaluations)
+    options.trace.trace->record_span("pg_c", "power", t0, trace_now_ns() - t0,
+                                     "evaluations",
+                                     stats->pgc_evaluations - evaluations);
   return best;
 }
 

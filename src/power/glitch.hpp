@@ -15,8 +15,11 @@
 // of two independent draws. TemporalInputModel::independent(probs) (or an
 // empty model: all inputs at 0.5) recovers the uncorrelated sampling.
 
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "netlist/edit_plan.hpp"
 #include "netlist/netlist.hpp"
 #include "power/temporal.hpp"
 
@@ -31,13 +34,9 @@ struct GlitchEstimate {
   double timed_power = 0.0;
   /// Per-gate average transitions per vector pair (indexed by GateId).
   std::vector<double> timed_activity;
-  /// Per-gate observed P(final value = 1) across the sampled pairs.
-  std::vector<double> settled_prob;
   /// Vector pairs whose event budget ran out: their transition counts are
   /// truncated, so a non-zero value means the estimate is a lower bound.
   long event_overflows = 0;
-  /// Events processed across all pairs (diagnostic for budget tuning).
-  long total_events = 0;
 
   double glitch_share() const {
     return timed_power > 0.0
@@ -60,12 +59,11 @@ struct GlitchOptions {
   std::uint64_t seed = 0x611DC4ull;
 };
 
-/// Per-pair record of one full estimate, kept so that a locally edited copy
-/// of the netlist can be re-estimated by replaying only its affected cone
-/// (replay_timed_power, DESIGN.md §13.1). Arrays are indexed by GateId of
-/// the recorded netlist.
+/// Per-pair record of the estimate of a netlist, from which a local edit is
+/// re-estimated by replaying only its affected cone (GlitchReplayer,
+/// DESIGN.md §13.1). Arrays are indexed by GateId of the recorded netlist.
 struct GlitchTrace {
-  std::uint64_t epoch = 0;  ///< netlist epoch the record was taken at
+  std::uint64_t epoch = 0;  ///< netlist epoch the record describes
   int pairs = 0;
   int words = 0;  ///< 64-pair words per gate in `v1` and `pi_v2`
   std::vector<double> delay;  ///< gate_delay of every live gate
@@ -80,40 +78,79 @@ struct GlitchTrace {
   std::vector<std::uint32_t> offset;
   std::vector<double> time;
   std::vector<std::uint32_t> pair_of;
-  /// Event batches the pair took (the unit of the event budget).
+  /// Pairs in which gate g's settled value differs from its v1 value: its
+  /// zero-delay transitions (the pairs with an odd transition count).
+  std::vector<std::uint32_t> zero_delay_transitions;
+  /// Upper bound on the event batches (the unit of the event budget) a full
+  /// run of the pair forms: exact when the pair was last simulated whole,
+  /// the previous bound plus the replay's batches after a cone refresh
+  /// replayed it. A full run forms no more batches than the record plus a
+  /// replay, so the bound keeps the replay's budget test sound.
   std::vector<long> batches;
   /// 0 when the pair overflowed its budget or popped two events of
   /// different value for one gate at one time (their order, and so the
   /// outcome, depends on unrelated heap contents): such a pair cannot seed
   /// a replay and is re-simulated in full.
   std::vector<std::uint8_t> replayable;
+  /// C(g) * timed activity(g) for every live non-PO gate (0 elsewhere), and
+  /// `timed_power` summed over the slots before g (one entry per slot plus
+  /// the total). A trial re-sums from its first changed slot only.
+  std::vector<double> power_term;
+  std::vector<double> power_before;
 
   /// Heap bytes held by the record.
   std::size_t bytes() const;
 };
 
-/// Work done by replay_timed_power calls.
+/// Work done by cone replays.
 struct GlitchReplayStats {
   long cone_gates = 0;      ///< affected-set sizes, summed over calls
-  long fallback_pairs = 0;  ///< pairs re-simulated in full on the copy
+  long fallback_pairs = 0;  ///< pairs re-simulated in full instead
 };
 
 /// Runs the estimate; when `trace` is non-null it also records the per-pair
-/// base a later replay_timed_power starts from.
+/// base a later GlitchReplayer call starts from.
 GlitchEstimate estimate_glitch_power(const Netlist& netlist,
                                      const GlitchOptions& options = {},
                                      GlitchTrace* trace = nullptr);
 
-/// The `timed_power` that estimate_glitch_power(trial, options) returns, bit
-/// for bit, for `trial`: a copy of `base` (same GateIds) with a local edit
-/// applied. `trace` must be the record of `base` in its current state under
-/// the same options. Only the gates whose switching can differ from the
-/// record — the fanout closure of every gate whose kind, cell, fanins or
-/// delay changed — are re-simulated, with their boundary fanins replaying
-/// the recorded transitions; pairs the replay cannot reproduce exactly are
-/// re-simulated in full on `trial`.
-double replay_timed_power(const Netlist& base, const GlitchTrace& trace,
-                          const Netlist& trial, const GlitchOptions& options,
-                          GlitchReplayStats* stats = nullptr);
+/// The cone-local replays of a recorded estimate. Only the gates whose
+/// switching can differ from the record — the fanout closure of every gate
+/// whose kind, cell, fanins or delay changed — are re-simulated, with their
+/// boundary fanins replaying the recorded transitions; pairs the replay
+/// cannot reproduce exactly (a different-value tie, an event-budget
+/// overflow, a zero-delay boundary) are re-simulated in full. The scratch
+/// tables are sized to the netlist once and stamped per call, so a call's
+/// work is proportional to its cone. Not for concurrent use.
+class GlitchReplayer {
+ public:
+  GlitchReplayer();
+  ~GlitchReplayer();
+
+  /// The `timed_power` estimate_glitch_power(edited, options) returns, bit
+  /// for bit, where `edited` is `netlist` with `plan` applied — computed
+  /// without applying it. `trace` must record `netlist` in its current
+  /// state under the same options.
+  double trial_power(const Netlist& netlist, const GlitchTrace& trace,
+                     const EditPlan& plan, const GlitchOptions& options,
+                     GlitchReplayStats* stats = nullptr);
+
+  /// Brings `*trace` and `*estimate`, recorded on an earlier state of
+  /// `netlist`, to what estimate_glitch_power(netlist, options, trace)
+  /// gives now (every trace array bit for bit, except `batches`, which
+  /// stays an upper bound). `changed` holds every gate whose kind, cell or
+  /// fanins may differ from the record, including added, revived and
+  /// removed slots; `loaded` every gate whose load may differ. Returns the
+  /// work done.
+  GlitchReplayStats refresh(const Netlist& netlist,
+                            std::span<const GateId> changed,
+                            std::span<const GateId> loaded,
+                            const GlitchOptions& options, GlitchTrace* trace,
+                            GlitchEstimate* estimate);
+
+ private:
+  struct Scratch;
+  std::unique_ptr<Scratch> s_;
+};
 
 }  // namespace powder

@@ -16,12 +16,14 @@
 //    activities and totals come from the timed event simulation.
 //
 // Both models ride the netlist delta bus. The zero-delay model refreshes
-// incrementally (dirty-region resimulation); the timed model invalidates
-// its cached estimate on any structural delta and recomputes it lazily on
-// refresh() with a fixed seed, so the estimate is a pure function of
-// (netlist, options) and identical at any thread count. That pass also
-// records a per-pair GlitchTrace, from which trial_power() re-estimates an
-// edited copy by replaying only the gates the edit can affect.
+// incrementally (dirty-region resimulation). The timed model runs the full
+// event-driven estimate once, with a fixed seed, and records a per-pair
+// GlitchTrace of it; afterwards each delta only names the gates it touched,
+// and refresh() replays their fanout cone against the record, equal bit
+// for bit to a fresh full estimate. The estimate is therefore a pure
+// function of (netlist, options) and identical at any thread count.
+// trial_power() re-estimates a planned edit the same way, without making
+// it.
 
 #include "netlist/netlist.hpp"
 #include "power/glitch.hpp"
@@ -71,8 +73,8 @@ class PowerModel {
 
 /// Event-driven timed power model. Borrows a zero-delay estimator (which
 /// must outlive it) for probabilities and simulator access, and maintains
-/// the glitch-inclusive activity estimate on top, invalidated through the
-/// delta bus and recomputed lazily by refresh().
+/// the glitch-inclusive activity estimate on top: the gates each delta
+/// touches are collected, and refresh() re-estimates their cone.
 class TimedPowerModel final : public PowerModel, public NetlistObserver {
  public:
   TimedPowerModel(PowerEstimator* base, GlitchOptions options);
@@ -83,6 +85,10 @@ class TimedPowerModel final : public PowerModel, public NetlistObserver {
   PowerModelKind kind() const override { return PowerModelKind::kTimed; }
   const Simulator& simulator() const override;
   Simulator& simulator() override;
+  /// Re-estimates the fanout cone of the gates the observed deltas touched
+  /// by replaying it against the trace (GlitchReplayer::refresh); a full
+  /// estimate runs only on construction and after a kRebuilt delta (or one
+  /// that adds an input or output).
   void refresh() override;
   double activity(GateId g) const override;
   double probability(GateId g) const override;
@@ -92,34 +98,50 @@ class TimedPowerModel final : public PowerModel, public NetlistObserver {
   void on_delta(const NetlistDelta& delta) override;
 
   /// The engine options, reused by the gain analysis for trial estimates
-  /// of mutated scratch copies (same stimulus, same seed, same budget).
+  /// (same stimulus, same seed, same budget).
   const GlitchOptions& glitch_options() const { return options_; }
   const GlitchEstimate& estimate() const { return estimate_; }
 
-  /// Timed power of `trial`, a copy of the model's netlist with one local
-  /// edit applied: bitwise the estimate_glitch_power(trial,
-  /// glitch_options()).timed_power, computed by replay_timed_power from the
-  /// trace of the last refresh(). Requires a refreshed model; not for
-  /// concurrent callers (it counts into replay_stats()).
-  double trial_power(const Netlist& trial) const;
+  /// Timed power the model's netlist would have with `plan` applied:
+  /// bitwise the estimate_glitch_power(edited, glitch_options()).timed_power,
+  /// computed by replaying the edit's cone against the trace of the last
+  /// refresh(), without applying or copying anything. Requires a refreshed
+  /// model; not for concurrent callers (it reuses scratch and counts into
+  /// replay_stats()).
+  double trial_power(const EditPlan& plan) const;
 
-  // Diagnostics: full event-driven recomputations performed, and vector
-  // pairs truncated by the event budget across all of them.
+  // Diagnostics: full event-driven estimates run, cone refreshes run, and
+  // vector pairs truncated by the event budget, summed over every refresh
+  // that re-estimated something.
   long resim_count() const { return resims_; }
+  long cone_refreshes() const { return cone_refreshes_; }
   long event_overflows() const { return overflows_total_; }
   /// Work of the trial_power() replays so far.
   const GlitchReplayStats& replay_stats() const { return replay_stats_; }
+  /// Work of the cone refreshes so far.
+  const GlitchReplayStats& refresh_stats() const { return refresh_stats_; }
   const GlitchTrace& trace() const { return trace_; }
 
  private:
+  bool stale() const {
+    return rebuild_ || !changed_.empty() || !loaded_.empty();
+  }
+
   const Netlist* netlist_;
   PowerEstimator* base_;
   GlitchOptions options_;
   GlitchEstimate estimate_;
   GlitchTrace trace_;
+  mutable GlitchReplayer replayer_;
   mutable GlitchReplayStats replay_stats_;
-  bool dirty_ = true;
+  GlitchReplayStats refresh_stats_;
+  /// Seeds of the next refresh: gates whose kind, cell or fanins may have
+  /// changed (removed slots included), and gates whose load may have.
+  std::vector<GateId> changed_;
+  std::vector<GateId> loaded_;
+  bool rebuild_ = true;
   long resims_ = 0;
+  long cone_refreshes_ = 0;
   long overflows_total_ = 0;
 };
 

@@ -19,12 +19,10 @@ void clear_seeds(std::vector<GateId>& seeds, GateMap<std::uint8_t>& flags) {
   seeds.clear();
 }
 
-// Roles of a gate in one trial_delay check.
-constexpr std::uint8_t kRemoved = 1;      ///< swept by the edit
-constexpr std::uint8_t kLoadChanged = 2;  ///< its fanout list changes
-constexpr std::uint8_t kRewiredSink = 4;  ///< one of its pins is rewired
-constexpr std::uint8_t kQueued = 8;       ///< on the trial heap
-constexpr std::uint8_t kHasArrival = 16;  ///< trial arrival differs from live
+// State of a gate in one trial_delay check (its role in the edit lives in
+// the EditOverlay).
+constexpr std::uint8_t kQueued = 1;      ///< on the trial heap
+constexpr std::uint8_t kHasArrival = 2;  ///< trial arrival differs from live
 
 }  // namespace
 
@@ -298,10 +296,9 @@ double IncrementalTiming::trial_delay(const EditPlan& plan,
   const Netlist& nl = *netlist_;
   POWDER_CHECK_MSG(!arrival_full_ && pending_arrival_.empty(),
                    "trial_delay needs refreshed arrival times");
-  POWDER_CHECK(!plan.rewired_pins.empty());
+  EditOverlay& edit = trial_edit_;
+  edit.reset(nl, plan);
   const GateId virt = plan.new_gate;  // not in the netlist
-  POWDER_CHECK(virt == kNullGate || virt == nl.num_slots());
-  const GateId driver = plan.new_driver();
 
   if (trial_.size() < nl.num_slots() + 1) trial_.resize(nl.num_slots() + 1);
   if (++trial_stamp_ == 0) {  // wrapped: clear stamps that could alias
@@ -320,64 +317,24 @@ double IncrementalTiming::trial_delay(const EditPlan& plan,
     }
     return t;
   };
-  auto has = [&](GateId g, std::uint8_t flag) {
+  auto has_arrival = [&](GateId g) {
     const TrialSlot& t = trial_[g];
-    return t.stamp == stamp && (t.flags & flag) != 0;
+    return t.stamp == stamp && (t.flags & kHasArrival) != 0;
   };
   auto value = [&](GateId g) {
-    return has(g, kHasArrival) ? trial_[g].arrival : arrival_[g];
-  };
-  auto rewired = [&](GateId sink, int pin) {
-    if (!has(sink, kRewiredSink)) return false;
-    for (const RewiredPin& rp : plan.rewired_pins)
-      if (rp.sink == sink && rp.pin == pin) return true;
-    return false;
-  };
-  auto reads_new_gate = [&](GateId g) {
-    return std::find(plan.new_fanins.begin(), plan.new_fanins.end(), g) !=
-           plan.new_fanins.end();
-  };
-
-  // The edited fanout list of a gate, in the order the edit leaves it:
-  // surviving live pins (erasure preserves order), then the appended ones —
-  // the inserted gate's pins on its fanins, or the moved pins on an
-  // existing replacement driver. signal_cap sums in exactly this order.
-  auto trial_load = [&](GateId g) {
-    double c = 0.0;
-    for (const FanoutRef& br : nl.fanouts(g)) {
-      if (has(br.gate, kRemoved)) continue;
-      if (g == plan.target && rewired(br.gate, br.pin)) continue;
-      c += nl.pin_cap(br.gate, br.pin);
-    }
-    if (virt != kNullGate) {
-      const Cell& cell = nl.library().cell(plan.new_cell);
-      for (std::size_t i = 0; i < plan.new_fanins.size(); ++i)
-        if (plan.new_fanins[i] == g) c += cell.pins[i].input_cap;
-    } else if (g == driver) {
-      for (const RewiredPin& rp : plan.rewired_pins)
-        c += nl.pin_cap(rp.sink, rp.pin);
-    }
-    return c;
+    return has_arrival(g) ? trial_[g].arrival : arrival_[g];
   };
   auto compute = [&](GateId g) {
+    if (g != virt && nl.kind(g) == GateKind::kInput) return 0.0;
     double in_arr = 0.0;
-    if (g == virt) {
-      double load = 0.0;
-      for (const RewiredPin& rp : plan.rewired_pins)
-        load += nl.pin_cap(rp.sink, rp.pin);
-      for (GateId fi : plan.new_fanins) in_arr = std::max(in_arr, value(fi));
-      return in_arr + cell_delay(nl.library().cell(plan.new_cell), load);
-    }
-    if (nl.kind(g) == GateKind::kInput) return 0.0;
-    const std::span<const GateId> fanins = nl.fanins(g);
-    for (int pin = 0; pin < static_cast<int>(fanins.size()); ++pin) {
-      GateId fi = fanins[static_cast<std::size_t>(pin)];
-      if (fi == plan.target && rewired(g, pin)) fi = driver;
-      in_arr = std::max(in_arr, value(fi));
-    }
+    edit.for_each_fanin(
+        g, [&](GateId fi) { in_arr = std::max(in_arr, value(fi)); });
+    if (g == virt)
+      return in_arr + cell_delay(nl.library().cell(plan.new_cell),
+                                 edit.load(virt));
     if (nl.kind(g) != GateKind::kCell) return in_arr;
-    return in_arr + (has(g, kLoadChanged)
-                         ? cell_delay(nl.cell_of(g), trial_load(g))
+    return in_arr + (edit.load_changed(g)
+                         ? cell_delay(nl.cell_of(g), edit.load(g))
                          : gate_delay(nl, g));
   };
   // Heap keys follow the live topological order; the inserted gate sorts
@@ -389,8 +346,9 @@ double IncrementalTiming::trial_delay(const EditPlan& plan,
     return pos_.covers(g) && pos_[g] != kNoPos ? pos_[g] : 0;
   };
   auto enqueue = [&](GateId g) {
+    if (edit.removed(g)) return;
     TrialSlot& t = slot(g);
-    if ((t.flags & (kQueued | kRemoved)) != 0) return;
+    if ((t.flags & kQueued) != 0) return;
     t.flags |= kQueued;
     std::uint32_t key = 0;
     if (g == virt) {
@@ -401,32 +359,11 @@ double IncrementalTiming::trial_delay(const EditPlan& plan,
     trial_heap_.emplace_back(key, g);
     std::push_heap(trial_heap_.begin(), trial_heap_.end(), std::greater<>{});
   };
-  auto enqueue_fanouts = [&](GateId g) {
-    if (g != virt) {
-      for (const FanoutRef& br : nl.fanouts(g))
-        if (!(g == plan.target && rewired(br.gate, br.pin))) enqueue(br.gate);
-      if (virt != kNullGate && reads_new_gate(g)) enqueue(virt);
-      if (virt != kNullGate || g != driver) return;
-    }
-    for (const RewiredPin& rp : plan.rewired_pins) enqueue(rp.sink);
-  };
 
-  // Seeds: every gate whose load or fanins the edit changes.
-  for (GateId g : plan.removed_gates) slot(g).flags |= kRemoved;
-  for (const RewiredPin& rp : plan.rewired_pins)
-    slot(rp.sink).flags |= kRewiredSink;
-  auto load_changed = [&](GateId g) {
-    if (nl.kind(g) == GateKind::kInput) return;  // arrives at 0 regardless
-    TrialSlot& t = slot(g);
-    if ((t.flags & kRemoved) != 0) return;
-    t.flags |= kLoadChanged;
-    enqueue(g);
-  };
-  if (plan.removed_gates.empty()) load_changed(plan.target);
-  if (virt == kNullGate) load_changed(driver);
-  for (GateId fi : plan.new_fanins) load_changed(fi);
-  for (GateId r : plan.removed_gates)
-    for (GateId fi : nl.fanins(r)) load_changed(fi);
+  // Seeds: every gate whose load or fanins the edit changes. An input
+  // arrives at 0 whatever its load.
+  for (const GateId g : edit.load_changed_gates())
+    if (nl.kind(g) != GateKind::kInput) enqueue(g);
   for (const RewiredPin& rp : plan.rewired_pins) enqueue(rp.sink);
   std::uint64_t n = 0;
   if (virt != kNullGate) {
@@ -454,7 +391,7 @@ double IncrementalTiming::trial_delay(const EditPlan& plan,
       trial_written_.push_back(g);
     }
     t.arrival = a;
-    enqueue_fanouts(g);
+    edit.for_each_fanout(g, enqueue);
   }
   if (visits != nullptr) *visits = n;
 

@@ -140,6 +140,7 @@ class IncrementalTiming final : public NetlistObserver {
     std::uint32_t stamp = 0;
     std::uint8_t flags = 0;
   };
+  mutable EditOverlay trial_edit_;
   mutable std::vector<TrialSlot> trial_;
   mutable std::uint32_t trial_stamp_ = 0;
   mutable std::vector<std::pair<std::uint32_t, GateId>> trial_heap_;

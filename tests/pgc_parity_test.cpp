@@ -1,13 +1,17 @@
-// Parity oracle for the timed PG_C fast path (DESIGN.md §13.1): the
-// cone-local replay behind TimedPowerModel::trial_power must give the same
-// PG_C, bit for bit, as the straightforward evaluation it replaces — apply
-// the candidate to a scratch copy and re-run the whole event-driven
-// estimate on it. Both fallback rules (different-value ties, event-budget
-// overflow) are forced and checked to have run.
+// Parity oracles for the timed power model's cone replays (DESIGN.md
+// §13.1). PG_C: the replay behind TimedPowerModel::trial_power must give
+// the same PG_C, bit for bit, as the straightforward evaluation it
+// replaces — apply the candidate to a scratch copy and re-run the whole
+// event-driven estimate on it. Refresh: after every commit, rollback and
+// resize, the cone refresh must leave the estimate and its trace equal to
+// a fresh full estimate of the live netlist. Every fallback rule
+// (different-value ties, event-budget overflow, zero-delay boundary) is
+// forced and checked to have run.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -55,7 +59,9 @@ bool same_bits(double a, double b) {
 /// One netlist with the optimizer's analysis stack under the timed model.
 struct TimedBench {
   TimedBench(const std::string& name, GlitchOptions glitch)
-      : nl(map_aig(make_benchmark(name), lib())),
+      : TimedBench(map_aig(make_benchmark(name), lib()), std::move(glitch)) {}
+  TimedBench(Netlist netlist, GlitchOptions glitch)
+      : nl(std::move(netlist)),
         sim(nl, 256, {}, /*seed=*/5),
         est(&sim),
         model(&est, std::move(glitch)),
@@ -116,8 +122,8 @@ TEST_P(PgcParityTest, ShortlistMatchesWholeCopyReference) {
 TEST_P(PgcParityTest, ShortlistMatchesAfterJournalStorm) {
   TimedBench b(GetParam(), glitch_pairs(64));
   SubstJournal journal(&b.nl);
-  // Commit a batch, roll half of it back, commit again: the trace is
-  // re-recorded on each refresh, including over revived slots.
+  // Commit a batch, roll half of it back, commit again: each refresh
+  // replays the edit's cone into the trace, revived slots included.
   auto commit_batch = [&](int want) {
     int done = 0;
     for (const CandidateSub& c : b.shortlist(32)) {
@@ -144,6 +150,159 @@ TEST_P(PgcParityTest, ShortlistMatchesAfterJournalStorm) {
 INSTANTIATE_TEST_SUITE_P(QuickSuite, PgcParityTest,
                          ::testing::ValuesIn(quick_suite()),
                          [](const auto& info) { return info.param; });
+
+template <class T>
+bool same_array(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+/// The refreshed model against a fresh full estimate of the live netlist:
+/// the estimate and every trace array bit for bit, except the batch counts,
+/// which the refresh keeps as upper bounds.
+void expect_matches_full(const TimedPowerModel& model, const Netlist& nl,
+                         const std::string& label) {
+  GlitchTrace want;
+  const GlitchEstimate full =
+      estimate_glitch_power(nl, model.glitch_options(), &want);
+  const GlitchEstimate& got = model.estimate();
+  EXPECT_TRUE(same_bits(got.timed_power, full.timed_power))
+      << label << ": timed " << got.timed_power << " vs " << full.timed_power;
+  EXPECT_TRUE(same_bits(got.zero_delay_power, full.zero_delay_power))
+      << label << ": zero-delay " << got.zero_delay_power << " vs "
+      << full.zero_delay_power;
+  EXPECT_TRUE(same_array(got.timed_activity, full.timed_activity)) << label;
+  EXPECT_EQ(got.event_overflows, full.event_overflows) << label;
+  const GlitchTrace& t = model.trace();
+  EXPECT_EQ(t.epoch, want.epoch) << label;
+  EXPECT_EQ(t.pairs, want.pairs) << label;
+  EXPECT_EQ(t.words, want.words) << label;
+  EXPECT_TRUE(same_array(t.delay, want.delay)) << label << ": delay";
+  EXPECT_TRUE(same_array(t.v1, want.v1)) << label << ": v1";
+  EXPECT_TRUE(same_array(t.pi_v2, want.pi_v2)) << label << ": pi_v2";
+  EXPECT_TRUE(same_array(t.offset, want.offset)) << label << ": offset";
+  EXPECT_TRUE(same_array(t.time, want.time)) << label << ": time";
+  EXPECT_TRUE(same_array(t.pair_of, want.pair_of)) << label << ": pair_of";
+  EXPECT_TRUE(same_array(t.zero_delay_transitions, want.zero_delay_transitions))
+      << label << ": zero_delay_transitions";
+  EXPECT_TRUE(same_array(t.replayable, want.replayable))
+      << label << ": replayable";
+  EXPECT_TRUE(same_array(t.power_term, want.power_term))
+      << label << ": power_term";
+  EXPECT_TRUE(same_array(t.power_before, want.power_before))
+      << label << ": power_before";
+  ASSERT_EQ(t.batches.size(), want.batches.size()) << label;
+  for (std::size_t p = 0; p < t.batches.size(); ++p)
+    EXPECT_GE(t.batches[p], want.batches[p]) << label << ": pair " << p;
+}
+
+/// Counts the deltas a storm publishes, by kind.
+struct DeltaCounter final : NetlistObserver {
+  std::array<long, 6> seen{};
+  void on_delta(const NetlistDelta& d) override {
+    ++seen[static_cast<std::size_t>(d.kind)];
+  }
+  long operator[](DeltaKind k) const {
+    return seen[static_cast<std::size_t>(k)];
+  }
+};
+
+/// Commits, resizes and rolls back on `b`, checking the cone refresh
+/// against a fresh full estimate after every refresh().
+void refresh_storm(TimedBench& b, const std::string& label) {
+  DeltaCounter deltas;
+  b.nl.attach_observer(&deltas);
+  SubstJournal journal(&b.nl);
+  int refreshes = 0;
+  auto refresh = [&](const std::string& what) {
+    b.model.refresh();
+    expect_matches_full(b.model, b.nl, label + " after " + what);
+    ++refreshes;
+  };
+  auto commit_batch = [&](int want) {
+    int done = 0;
+    for (const CandidateSub& c : b.shortlist(32)) {
+      if (done == want) break;
+      if (!substitution_still_valid(b.nl, c)) continue;
+      try {
+        journal.apply(c);
+      } catch (const CheckError&) {
+        continue;
+      }
+      refresh("commit " + std::to_string(done));
+      ++done;
+    }
+    return done;
+  };
+  const int first = commit_batch(6);
+  // A re-sizing: the gate's delay and its fanins' loads change.
+  const CellLibrary& cells = b.nl.library();
+  for (GateId g = 0; g < b.nl.num_slots(); ++g) {
+    if (!b.nl.alive(g) || b.nl.kind(g) != GateKind::kCell) continue;
+    const CellId from = b.nl.cell_id(g);
+    const CellId to = cells.find(b.nl.cell_of(g).name + "x2");
+    if (to == kInvalidCell) continue;
+    b.nl.set_cell(g, to);
+    refresh("resize");
+    b.nl.set_cell(g, from);
+    refresh("resize back");
+    break;
+  }
+  // Rollbacks revive the swept cones.
+  for (int i = 0; i < first / 2 && !journal.empty(); ++i) {
+    journal.rollback_last();
+    refresh("rollback");
+  }
+  commit_batch(4);
+  // Two edits between refreshes: a commit and its rollback.
+  for (const CandidateSub& c : b.shortlist(8)) {
+    if (!substitution_still_valid(b.nl, c)) continue;
+    try {
+      journal.apply(c);
+    } catch (const CheckError&) {
+      continue;
+    }
+    journal.rollback_last();
+    refresh("commit and rollback");
+    break;
+  }
+  b.nl.detach_observer(&deltas);
+  EXPECT_GT(refreshes, 4) << label;
+  EXPECT_GT(deltas[DeltaKind::kCellChanged], 0) << label;
+  EXPECT_GT(deltas[DeltaKind::kGateRevived], 0) << label;
+  // One full estimate (at construction); every refresh after it is a cone
+  // refresh.
+  EXPECT_EQ(b.model.resim_count(), 1) << label;
+  EXPECT_EQ(b.model.cone_refreshes(), refreshes) << label;
+  EXPECT_GT(b.model.refresh_stats().cone_gates, 0) << label;
+}
+
+class RefreshParityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RefreshParityTest, ConeRefreshMatchesFullEstimate) {
+  TimedBench b(GetParam(), glitch_pairs(64));
+  refresh_storm(b, GetParam());
+  // The storm's shortlists are replayed against refreshed traces.
+  b.check_shortlist(GetParam() + " after refresh storm");
+}
+
+INSTANTIATE_TEST_SUITE_P(QuickSuite, RefreshParityTest,
+                         ::testing::ValuesIn(quick_suite()),
+                         [](const auto& info) { return info.param; });
+
+TEST(RefreshParityScaleTest, Scale500ConeRefreshMatchesFullEstimate) {
+  TimedBench b(make_scale_netlist(500), glitch_pairs(64));
+  refresh_storm(b, "scale500");
+}
+
+TEST(RefreshParityScaleTest, TiePairsFallBackInTheRefresh) {
+  // rd84's record holds tie pairs: every committed cone re-simulates them
+  // whole, and the refresh still matches the full estimate.
+  TimedBench b("rd84", glitch_pairs(64));
+  refresh_storm(b, "rd84 ties");
+  EXPECT_GT(b.model.refresh_stats().fallback_pairs, 0);
+}
 
 TEST(PgcFallbackTest, DifferentValueTiesFallBackToFullPairs) {
   // rd84's balanced XOR trees schedule same-time events of different value
@@ -194,17 +353,43 @@ CellLibrary exact_delay_library() {
   return lib;
 }
 
-/// Replays `trial` against the record of `base` and checks it bit for bit
-/// against a full estimate; returns the pairs that fell back.
-long replay_fallbacks(const Netlist& base, const Netlist& trial) {
+/// Checks a constructed edit both ways the model evaluates edits: replays
+/// `plan` over the record of `base` (the PG_C path) and refreshes the
+/// record after applying it to `base` in place (the commit path), each bit
+/// for bit against a full estimate of `edited` — `base` with the plan
+/// applied by hand, the swept gates left in place as dead logic is. Returns
+/// the pairs that fell back in the replay.
+long replay_fallbacks(Netlist& base, const EditPlan& plan,
+                      const Netlist& edited) {
   const GlitchOptions opt = glitch_pairs(64);
   GlitchTrace trace;
-  (void)estimate_glitch_power(base, opt, &trace);
+  GlitchEstimate estimate = estimate_glitch_power(base, opt, &trace);
   for (const std::uint8_t ok : trace.replayable) EXPECT_TRUE(ok);
+  GlitchReplayer replayer;
   GlitchReplayStats stats;
-  const double fast = replay_timed_power(base, trace, trial, opt, &stats);
-  const double full = estimate_glitch_power(trial, opt).timed_power;
-  EXPECT_TRUE(same_bits(fast, full)) << fast << " vs " << full;
+  const double fast = replayer.trial_power(base, trace, plan, opt, &stats);
+  const GlitchEstimate full = estimate_glitch_power(edited, opt);
+  EXPECT_TRUE(same_bits(fast, full.timed_power))
+      << fast << " vs " << full.timed_power;
+
+  // The same edit committed: the inserted gate and the rewired sinks
+  // changed, the new gate's fanins and the old driver carry other loads.
+  std::vector<GateId> changed, loaded;
+  if (plan.new_gate != kNullGate) {
+    EXPECT_EQ(base.add_gate(plan.new_cell, plan.new_fanins), plan.new_gate);
+    changed.push_back(plan.new_gate);
+    loaded = plan.new_fanins;
+  }
+  for (const RewiredPin& rp : plan.rewired_pins) {
+    base.set_fanin(rp.sink, rp.pin, rp.new_driver);
+    changed.push_back(rp.sink);
+    loaded.push_back(rp.old_driver);
+  }
+  const GlitchReplayStats done =
+      replayer.refresh(base, changed, loaded, opt, &trace, &estimate);
+  EXPECT_GT(done.cone_gates, 0);
+  EXPECT_TRUE(same_bits(estimate.timed_power, full.timed_power));
+  EXPECT_TRUE(same_bits(estimate.zero_delay_power, full.zero_delay_power));
   return stats.fallback_pairs;
 }
 
@@ -225,8 +410,16 @@ TEST(PgcFallbackTest, ReplayedTiesFallBackToFullPairs) {
   const GateId f =
       base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
   Netlist trial = base;
-  trial.set_fanin(f, 0, trial.add_gate(lib.find("xor2"), {q, r}));
-  EXPECT_GT(replay_fallbacks(base, trial), 0);
+  const GateId x = trial.fanin(f, 0);
+  const GateId s = trial.add_gate(lib.find("xor2"), {q, r});
+  trial.set_fanin(f, 0, s);
+  EditPlan plan;
+  plan.target = x;
+  plan.new_gate = s;
+  plan.new_cell = lib.find("xor2");
+  plan.new_fanins = {q, r};
+  plan.rewired_pins = {RewiredPin{f, 0, x, s}};
+  EXPECT_GT(replay_fallbacks(base, plan, trial), 0);
 }
 
 TEST(PgcFallbackTest, ZeroDelayBoundaryIsNotReplayed) {
@@ -242,8 +435,16 @@ TEST(PgcFallbackTest, ZeroDelayBoundaryIsNotReplayed) {
   const GateId f =
       base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
   Netlist trial = base;
-  trial.set_fanin(f, 0, trial.add_gate(lib.find("xor2"), {b, z}));
-  EXPECT_EQ(replay_fallbacks(base, trial), 64);
+  const GateId x = trial.fanin(f, 0);
+  const GateId s = trial.add_gate(lib.find("xor2"), {b, z});
+  trial.set_fanin(f, 0, s);
+  EditPlan plan;
+  plan.target = x;
+  plan.new_gate = s;
+  plan.new_cell = lib.find("xor2");
+  plan.new_fanins = {b, z};
+  plan.rewired_pins = {RewiredPin{f, 0, x, s}};
+  EXPECT_EQ(replay_fallbacks(base, plan, trial), 64);
 }
 
 TEST(PgcMemoTest, RejectedPicksReuseShortlistGains) {

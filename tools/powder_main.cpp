@@ -552,9 +552,13 @@ int cmd_optimize(const Args& a) {
              d.windowing.windows_built, d.windowing.window_commits,
              d.windowing.boundary_conflicts, d.windowing.window_reruns);
   if (a.power_model == PowerModelKind::kTimed)
-    progress("powder: timed power model: %ld event re-sim(s), "
-             "%ld overflow(s), final glitch share %.1f%%\n",
-             d.power_model.timed_resims, d.power_model.event_overflows,
+    progress("powder: timed power model: %ld full estimate(s), "
+             "%ld cone refresh(es) over %ld gate(s) with %ld fallback "
+             "pair(s), %ld overflow(s), final glitch share %.1f%%\n",
+             d.power_model.timed_resims, d.power_model.cone_refreshes,
+             d.power_model.refresh_cone_gates,
+             d.power_model.refresh_fallback_pairs,
+             d.power_model.event_overflows,
              100.0 * d.power_model.glitch_share);
   if (a.funcred)
     progress("powder: functional reduction merged %ld equivalent "
