@@ -584,18 +584,22 @@ const std::vector<GateId>& Netlist::topo_order() const {
 
 bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {
   if (ancestor == descendant) return false;
-  // Reused scratch: called on every rewire, must not allocate once warm.
-  tfo_seen_.assign(kind_.size(), 0);
+  if (tfo_stamp_.size() < kind_.size()) tfo_stamp_.resize(kind_.size(), 0);
+  if (tfo_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(tfo_stamp_.begin(), tfo_stamp_.end(), 0);
+    tfo_epoch_ = 0;
+  }
+  const std::uint32_t seen = ++tfo_epoch_;
   tfo_stack_.clear();
   tfo_stack_.push_back(ancestor);
-  tfo_seen_[ancestor] = 1;
+  tfo_stamp_[ancestor] = seen;
   while (!tfo_stack_.empty()) {
     const GateId g = tfo_stack_.back();
     tfo_stack_.pop_back();
     for (const FanoutRef& br : fanouts(g)) {
       if (br.gate == descendant) return true;
-      if (!tfo_seen_[br.gate]) {
-        tfo_seen_[br.gate] = 1;
+      if (tfo_stamp_[br.gate] != seen) {
+        tfo_stamp_[br.gate] = seen;
         tfo_stack_.push_back(br.gate);
       }
     }
@@ -624,12 +628,13 @@ std::vector<GateId> Netlist::tfo(GateId g) const {
 
 namespace {
 
-/// Membership marks for mffc(), one table per thread: the harvest's shards
-/// call mffc concurrently, and a shared scratch would race. Each call takes
-/// two fresh stamps (pinned, in cone), so nothing is cleared or allocated
-/// per call once the table covers the netlist.
+/// Membership marks and cone buffer for mffc(), one set per thread: the
+/// harvest's shards call mffc concurrently, and a shared scratch would race.
+/// Each call takes two fresh stamps (pinned, in cone), so nothing is cleared
+/// or allocated per call once the table covers the netlist.
 struct MffcMarks {
   std::vector<std::uint32_t> stamp;
+  std::vector<GateId> cone;
   std::uint32_t next = 0;
 
   /// Returns the call's "pinned" stamp; "in cone" is that plus one.
@@ -640,6 +645,7 @@ struct MffcMarks {
       next = 0;
     }
     next += 2;
+    cone.clear();
     return next - 1;
   }
 };
@@ -647,15 +653,24 @@ struct MffcMarks {
 }  // namespace
 
 std::vector<GateId> Netlist::mffc(GateId g,
-                                  const std::vector<GateId>& keep_alive) const {
+                                  std::span<const GateId> keep_alive) const {
+  const std::span<const GateId> cone = mffc_cone(g, keep_alive).gates();
+  return {cone.begin(), cone.end()};
+}
+
+Netlist::MffcCone Netlist::mffc_cone(GateId g,
+                                     std::span<const GateId> keep_alive) const {
   // Gates that die if g loses all fanout: g itself plus, transitively, each
   // fanin whose every fanout lies inside the cone built so far.
-  std::vector<GateId> cone;
-  if (kind_[g] != GateKind::kCell) return cone;
   thread_local MffcMarks marks;
   const std::uint32_t pinned = marks.begin(kind_.size());
   const std::uint32_t in_cone = pinned + 1;
   std::vector<std::uint32_t>& stamp = marks.stamp;
+  std::vector<GateId>& cone = marks.cone;
+  MffcCone result;
+  result.stamp_ = stamp.data();
+  result.in_cone_ = in_cone;
+  if (kind_[g] != GateKind::kCell) return result;
   for (GateId k : keep_alive)
     if (k != g) stamp[k] = pinned;
   cone.push_back(g);
@@ -694,7 +709,8 @@ std::vector<GateId> Netlist::mffc(GateId g,
       }
     }
   }
-  return cone;
+  result.gates_ = cone;
+  return result;
 }
 
 Netlist Netlist::compacted(std::vector<GateId>* remap) const {

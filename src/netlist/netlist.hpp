@@ -304,7 +304,25 @@ class Netlist {
   /// in `keep_alive` are treated as externally used and are never absorbed
   /// (used when a substitution's replacement sources live inside the cone).
   std::vector<GateId> mffc(GateId g,
-                           const std::vector<GateId>& keep_alive = {}) const;
+                           std::span<const GateId> keep_alive = {}) const;
+
+  /// An MFFC held in the calling thread's scratch, with O(1) membership.
+  /// Valid until the same thread's next mffc()/mffc_cone() call.
+  class MffcCone {
+   public:
+    std::span<const GateId> gates() const { return gates_; }
+    bool contains(GateId g) const { return stamp_[g] == in_cone_; }
+
+   private:
+    friend class Netlist;
+    std::span<const GateId> gates_;
+    const std::uint32_t* stamp_ = nullptr;
+    std::uint32_t in_cone_ = 0;
+  };
+  /// mffc() without the copy: the same gates in the same order, plus
+  /// membership of any gate id below num_slots(). Allocation-free once the
+  /// thread's scratch covers the netlist.
+  MffcCone mffc_cone(GateId g, std::span<const GateId> keep_alive = {}) const;
 
   /// Structural invariants: fanin/fanout cross-consistency, pin counts vs
   /// cell arity, acyclicity, liveness of referenced gates. Throws
@@ -397,8 +415,12 @@ class Netlist {
   mutable std::mutex topo_mutex_;
 
   // Reused DFS scratch for the in_tfo cycle guard: set_fanin runs once per
-  // committed rewire and must not allocate in steady state.
-  mutable std::vector<std::uint8_t> tfo_seen_;
+  // committed rewire and stale candidates once per source per selection
+  // round, so it must neither clear nor allocate in steady state. Each call
+  // takes a fresh epoch; the table is cleared only when the epoch wraps.
+  friend struct NetlistTestAccess;
+  mutable std::vector<std::uint32_t> tfo_stamp_;
+  mutable std::uint32_t tfo_epoch_ = 0;
   mutable std::vector<GateId> tfo_stack_;
 
   GateId new_gate(GateKind kind);

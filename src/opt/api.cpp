@@ -149,6 +149,9 @@ std::string PowderReport::to_json() const {
   append_field(os, "harvest_sites", diagnostics.resub.harvest_sites, &rf);
   append_field(os, "harvest_sites_matched",
                diagnostics.resub.harvest_sites_matched, &rf);
+  append_field(os, "three_sub_pairs", diagnostics.resub.three_sub_pairs, &rf);
+  append_field(os, "three_sub_pairs_passed",
+               diagnostics.resub.three_sub_pairs_passed, &rf);
   os << ",\"by_class\":{";
   for (std::size_t i = 0; i < diagnostics.resub.by_class.size(); ++i) {
     if (i != 0) os << ",";

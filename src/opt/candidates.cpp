@@ -4,9 +4,9 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <span>
+#include <utility>
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -69,7 +69,101 @@ bool reaches(double bound, double threshold) {
            threshold);
 }
 
+/// Per-thread scratch of the pair filter: the care word positions, the
+/// target's on/off care masks there, and the current b's split of them.
+struct PairScratch {
+  std::vector<std::uint32_t> words;
+  std::vector<std::uint64_t> on, off;
+  /// Per care word j: on & ~b, on & b, off & ~b, off & b.
+  std::vector<std::uint64_t> split;
+};
+
 }  // namespace
+
+std::vector<ReplacementCell> replacement_cells(const CellLibrary& library,
+                                               int arity) {
+  std::vector<ReplacementCell> out;
+  for (CellId id : library.cells_with_arity(arity)) {
+    const TruthTable& f = library.cell(id).function;
+    bool degenerate = false;
+    for (int v = 0; v < arity; ++v)
+      if (!f.depends_on(v)) degenerate = true;
+    if (degenerate) continue;
+    ReplacementCell cell{id, &f, 0};
+    const std::uint64_t minterms =
+        std::min<std::uint64_t>(f.num_minterms_capacity(), 64);
+    for (std::uint64_t m = 0; m < minterms; ++m)
+      if (f.bit(m)) cell.onset |= 1ull << m;
+    out.push_back(cell);
+  }
+  return out;
+}
+
+PairFilterCounts filter_pairs(std::span<const std::uint64_t> a,
+                              std::span<const std::uint64_t> care,
+                              std::span<const std::uint64_t* const> pool,
+                              int b_limit, int cap,
+                              std::span<const ReplacementCell> cells,
+                              std::vector<PairMatch>* out) {
+  // Only the care words can decide a pair; the rest are skipped.
+  thread_local PairScratch s;
+  s.words.clear();
+  s.on.clear();
+  s.off.clear();
+  for (std::size_t w = 0; w < care.size(); ++w) {
+    if (care[w] == 0) continue;
+    s.words.push_back(static_cast<std::uint32_t>(w));
+    s.on.push_back(a[w] & care[w]);
+    s.off.push_back(~a[w] & care[w]);
+  }
+  const std::size_t n = s.words.size();
+  s.split.resize(4 * n);
+  const std::uint32_t* const words = s.words.data();
+  const std::uint64_t* const split = s.split.data();
+
+  PairFilterCounts counts;
+  int made = 0;
+  for (std::uint32_t bi = 0; static_cast<int>(bi) < b_limit && made < cap;
+       ++bi) {
+    const std::uint64_t* const sig_b = pool[bi];
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t bw = sig_b[words[j]];
+      s.split[4 * j + 0] = s.on[j] & ~bw;
+      s.split[4 * j + 1] = s.on[j] & bw;
+      s.split[4 * j + 2] = s.off[j] & ~bw;
+      s.split[4 * j + 3] = s.off[j] & bw;
+    }
+    for (std::uint32_t ci = 0; ci < pool.size(); ++ci) {
+      if (ci == bi) continue;
+      const std::uint64_t* const sig_c = pool[ci];
+      ++counts.pairs;
+      // Minterm m of (b, c) is bit m = b + 2c: need1 collects the minterms
+      // covering an observable 1 of the target, need0 those covering a 0.
+      unsigned need1 = 0, need0 = 0;
+      for (std::size_t j = 0; j < n && (need1 & need0) == 0; ++j) {
+        const std::uint64_t cw = sig_c[words[j]];
+        const std::uint64_t* const q = split + 4 * j;
+        need1 |= static_cast<unsigned>((q[0] & ~cw) != 0) |
+                 static_cast<unsigned>((q[1] & ~cw) != 0) << 1 |
+                 static_cast<unsigned>((q[0] & cw) != 0) << 2 |
+                 static_cast<unsigned>((q[1] & cw) != 0) << 3;
+        need0 |= static_cast<unsigned>((q[2] & ~cw) != 0) |
+                 static_cast<unsigned>((q[3] & ~cw) != 0) << 1 |
+                 static_cast<unsigned>((q[2] & cw) != 0) << 2 |
+                 static_cast<unsigned>((q[3] & cw) != 0) << 3;
+      }
+      if (need1 & need0) continue;
+      ++counts.passed;
+      for (std::uint32_t k = 0; k < cells.size(); ++k) {
+        const std::uint64_t onset = cells[k].onset;
+        if ((onset & need1) != need1 || (onset & need0) != 0) continue;
+        out->push_back(PairMatch{bi, ci, k});
+        if (++made >= cap) return counts;
+      }
+    }
+  }
+  return counts;
+}
 
 /// Per-thread membership tables for one site's match: the forbidden region
 /// (the site's faulty region), the pool's seen set and the BFS visited set.
@@ -106,6 +200,12 @@ CandidateFinder::CandidateFinder(const Netlist& netlist,
       options_(options),
       seed_(seed),
       pool_(pool) {
+  // Arity 2 serves OS3/IS3, arities 3..max_divisors OSK/ISK.
+  cells_by_arity_.resize(
+      static_cast<std::size_t>(std::max(2, options_.resub.max_divisors)) + 1);
+  for (std::size_t k = 2; k < cells_by_arity_.size(); ++k)
+    cells_by_arity_[k] =
+        replacement_cells(netlist_->library(), static_cast<int>(k));
   rebuild_index();
   netlist_->attach_observer(this);
 }
@@ -318,7 +418,31 @@ double CandidateFinder::site_bound(GateId target,
   return compute_pg_a(*netlist_, *estimator_, cand);
 }
 
-void CandidateFinder::match_site(const Site& site,
+std::vector<GateId> CandidateFinder::site_pool(GateId target,
+                                               const FanoutRef* branch) const {
+  // Forbidden region for sources: the faulty region of the site, marked by
+  // a stamped walk over the entry's transitive fanout.
+  thread_local SiteMarks marks;
+  const std::uint32_t epoch = marks.begin(netlist_->num_slots());
+  const GateId entry = branch == nullptr ? target : branch->gate;
+  marks.forbidden[entry] = epoch;
+  marks.stack.assign(1, entry);
+  while (!marks.stack.empty()) {
+    const GateId g = marks.stack.back();
+    marks.stack.pop_back();
+    for (const FanoutRef& br : netlist_->fanouts(g)) {
+      if (marks.forbidden[br.gate] == epoch) continue;
+      marks.forbidden[br.gate] = epoch;
+      marks.stack.push_back(br.gate);
+    }
+  }
+  marks.forbidden[target] = epoch;  // substituting a by a is a no-op
+
+  Rng rng(site_seed(seed_, target, branch));
+  return build_pool(target, marks, rng);
+}
+
+void CandidateFinder::match_site(Site& site,
                                  std::vector<CandidateSub>* out) const {
   const GateId target = site.target;
   const FanoutRef* branch = site.branch ? &*site.branch : nullptr;
@@ -358,26 +482,7 @@ void CandidateFinder::match_site(const Site& site,
   }
   if (all_zero(obs)) return;  // nothing further here
 
-  // Forbidden region for sources: the faulty region of the site, marked by
-  // a stamped walk over the entry's transitive fanout.
-  thread_local SiteMarks marks;
-  const std::uint32_t epoch = marks.begin(netlist_->num_slots());
-  const GateId entry = branch == nullptr ? target : branch->gate;
-  marks.forbidden[entry] = epoch;
-  marks.stack.assign(1, entry);
-  while (!marks.stack.empty()) {
-    const GateId g = marks.stack.back();
-    marks.stack.pop_back();
-    for (const FanoutRef& br : netlist_->fanouts(g)) {
-      if (marks.forbidden[br.gate] == epoch) continue;
-      marks.forbidden[br.gate] = epoch;
-      marks.stack.push_back(br.gate);
-    }
-  }
-  marks.forbidden[target] = epoch;  // substituting a by a is a no-op
-
-  Rng rng(site_seed(seed_, target, branch));
-  const std::vector<GateId> pool = build_pool(target, marks, rng);
+  const std::vector<GateId> pool = site_pool(target, branch);
 
   // --- 2-signal substitutions -------------------------------------------
   for (GateId b : pool) {
@@ -394,57 +499,26 @@ void CandidateFinder::match_site(const Site& site,
   }
 
   // --- 3-signal substitutions (new 2-input library gate) -----------------
-  // A cell f(b, c) agrees with the target on every observable pattern iff
-  // f maps each input minterm to every observable target value that minterm
-  // covers. One pass over the words per (b, c) pair finds the minterms that
-  // must map to 1 and those that must map to 0 (a minterm in both rules out
-  // every cell); each cell's test is then a check of its 4-bit onset.
   if (!options_.resub.enable_three_subs) return;
-  const CellLibrary& library = netlist_->library();
-  int made = 0;
-  const int b_limit = std::min<int>(options_.resub.three_sub_b_pool,
-                                    static_cast<int>(pool.size()));
-  for (int bi = 0; bi < b_limit && made < options_.resub.max_three_per_target;
-       ++bi) {
-    const GateId b = pool[static_cast<std::size_t>(bi)];
-    const auto sig_b = sim_->value(b);
-    for (GateId c : pool) {
-      if (c == b) continue;
-      const auto sig_c = sim_->value(c);
-      unsigned need1 = 0, need0 = 0;
-      for (int w = 0; w < W && (need1 & need0) == 0; ++w) {
-        const std::uint64_t bw = sig_b[static_cast<std::size_t>(w)];
-        const std::uint64_t cw = sig_c[static_cast<std::size_t>(w)];
-        const std::uint64_t on = sig_a[static_cast<std::size_t>(w)] &
-                                 obs[static_cast<std::size_t>(w)];
-        const std::uint64_t off = ~sig_a[static_cast<std::size_t>(w)] &
-                                  obs[static_cast<std::size_t>(w)];
-        const std::uint64_t minterms[4] = {~bw & ~cw, bw & ~cw, ~bw & cw,
-                                           bw & cw};
-        for (unsigned m = 0; m < 4; ++m) {
-          if (minterms[m] & on) need1 |= 1u << m;
-          if (minterms[m] & off) need0 |= 1u << m;
-        }
-      }
-      if (need1 & need0) continue;
-      for (CellId cell_id : library.two_input_cells()) {
-        const TruthTable& f = library.cell(cell_id).function;
-        unsigned onset = 0;
-        for (unsigned m = 0; m < 4; ++m)
-          if (f.bit(m)) onset |= 1u << m;
-        if ((onset & need1) != need1 || (onset & need0) != 0) continue;
-        // Skip degenerate functions (constant or single-input): the
-        // 2-signal pass already covers those shapes more cheaply.
-        if (!f.depends_on(0) || !f.depends_on(1)) continue;
-        CandidateSub cand = make_base();
-        cand.cls = branch == nullptr ? SubstClass::kOS3 : SubstClass::kIS3;
-        cand.rep = ReplacementFunction::two_input(b, c, f);
-        cand.new_cell = cell_id;
-        finish(std::move(cand));
-        if (++made >= options_.resub.max_three_per_target) break;
-      }
-      if (made >= options_.resub.max_three_per_target) break;
-    }
+  thread_local std::vector<const std::uint64_t*> pool_sigs;
+  thread_local std::vector<PairMatch> matches;
+  pool_sigs.clear();
+  for (GateId g : pool) pool_sigs.push_back(sim_->value(g).data());
+  matches.clear();
+  const std::vector<ReplacementCell>& cells2 = cells_by_arity_[2];
+  site.pairs = filter_pairs(
+      sig_a, obs, pool_sigs,
+      std::min<int>(options_.resub.three_sub_b_pool,
+                    static_cast<int>(pool.size())),
+      options_.resub.max_three_per_target, cells2, &matches);
+  for (const PairMatch& m : matches) {
+    const ReplacementCell& cell = cells2[m.cell];
+    CandidateSub cand = make_base();
+    cand.cls = branch == nullptr ? SubstClass::kOS3 : SubstClass::kIS3;
+    cand.rep = ReplacementFunction::two_input(pool[m.b], pool[m.c],
+                                              *cell.function);
+    cand.new_cell = cell.id;
+    finish(std::move(cand));
   }
 
   // --- k-signal substitutions (new k-input library gate, k >= 3) ----------
@@ -456,7 +530,8 @@ void CandidateFinder::match_site(const Site& site,
   // Word evaluation reuses the k-ary minterm expansion of
   // replacement_words.
   for (int k = 3; k <= options_.resub.max_divisors; ++k) {
-    const auto& kcells = netlist_->library().cells_with_arity(k);
+    const std::vector<ReplacementCell>& kcells =
+        cells_by_arity_[static_cast<std::size_t>(k)];
     if (kcells.empty()) continue;
     int kmade = 0;
     const int kb_limit = std::min<int>(options_.resub.ksub_b_pool,
@@ -495,18 +570,13 @@ void CandidateFinder::match_site(const Site& site,
     std::function<void(int)> enumerate = [&](int depth) {
       if (kmade >= options_.resub.max_k_per_target) return;
       if (depth == k) {
-        for (CellId cell_id : kcells) {
-          const Cell& cell = netlist_->library().cell(cell_id);
-          const TruthTable& f = cell.function;
-          bool degenerate = false;
-          for (int v = 0; v < k; ++v)
-            if (!f.depends_on(v)) degenerate = true;
-          if (degenerate) continue;
+        for (const ReplacementCell& cell : kcells) {
+          const TruthTable& f = *cell.function;
           if (!eval_ok(f)) continue;
           CandidateSub cand = make_base();
           cand.cls = branch == nullptr ? SubstClass::kOSK : SubstClass::kISK;
           cand.rep = ReplacementFunction::cell(divisors, f);
-          cand.new_cell = cell_id;
+          cand.new_cell = cell.id;
           finish(std::move(cand));
           if (++kmade >= options_.resub.max_k_per_target) return;
         }
@@ -530,35 +600,38 @@ void CandidateFinder::match_site(const Site& site,
   }
 }
 
-std::vector<CandidateSub> CandidateFinder::find(bool prune) {
-  refresh_index();
-  // Enumerate the sites in site order: for each signal, the stem first,
-  // then every branch of multi-fanout stems.
+std::vector<CandidateFinder::Site> CandidateFinder::collect_sites() const {
   std::vector<Site> sites;
   for (GateId g : signal_gates_) {
     const std::span<const FanoutRef> fanouts = netlist_->fanouts(g);
     // Output substitutions: only cell stems (a PI cannot be replaced).
     if (netlist_->kind(g) == GateKind::kCell && !fanouts.empty())
-      sites.push_back(Site{g, std::nullopt});
+      sites.push_back(Site{g, std::nullopt, 0.0, {}});
     // Input substitutions: individual branches of multi-fanout stems (the
     // paper regards single-fanout outputs as stem signals only).
     if (fanouts.size() > 1)
-      for (const FanoutRef& br : fanouts) sites.push_back(Site{g, br});
+      for (const FanoutRef& br : fanouts)
+        sites.push_back(Site{g, br, 0.0, {}});
   }
+  return sites;
+}
+
+std::vector<CandidateSub> CandidateFinder::find(bool prune) {
+  refresh_index();
+  std::vector<Site> sites = collect_sites();
   for_sites(sites.size(), [&](std::size_t i) {
     Site& s = sites[i];
     s.bound = site_bound(s.target, s.branch ? &*s.branch : nullptr);
   });
 
-  // Visit order: bound descending, ties in site order. Each batch matches
-  // the sites that can reach the threshold fixed before it, each into its
-  // own slice; the k best gains so far then raise the next threshold.
-  std::vector<std::size_t> order(sites.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return sites[x].bound > sites[y].bound;
-                   });
+  // Visit order: bound descending, ties in site order (bounds are finite,
+  // so the (-bound, index) keys order totally). Each batch matches the
+  // sites that can reach the threshold fixed before it, each into its own
+  // slice; the k best gains so far then raise the next threshold.
+  std::vector<std::pair<double, std::size_t>> order(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i)
+    order[i] = {-sites[i].bound, i};
+  std::sort(order.begin(), order.end());
   const auto k = static_cast<std::size_t>(std::max(0, options_.max_candidates));
   std::priority_queue<double, std::vector<double>, std::greater<>> best;
   std::vector<std::vector<CandidateSub>> slices(sites.size());
@@ -569,13 +642,14 @@ std::vector<CandidateSub> CandidateFinder::find(bool prune) {
                                  : -std::numeric_limits<double>::infinity();
     const std::size_t end = std::min(next + batch_sites_, order.size());
     std::size_t stop = next;
-    while (stop < end && reaches(sites[order[stop]].bound, threshold)) ++stop;
+    while (stop < end && reaches(sites[order[stop].second].bound, threshold))
+      ++stop;
     for_sites(stop - next, [&](std::size_t i) {
-      const std::size_t s = order[next + i];
+      const std::size_t s = order[next + i].second;
       match_site(sites[s], &slices[s]);
     });
     for (std::size_t i = next; i < stop && k > 0; ++i)
-      for (const CandidateSub& cand : slices[order[i]]) {
+      for (const CandidateSub& cand : slices[order[i].second]) {
         best.push(cand.preselect_gain());
         if (best.size() > k) best.pop();
       }
@@ -584,21 +658,30 @@ std::vector<CandidateSub> CandidateFinder::find(bool prune) {
   }
   last_sites_ = sites.size();
   last_sites_matched_ = next;
+  last_pairs_ = {};
+  for (const Site& site : sites) {
+    last_pairs_.pairs += site.pairs.pairs;
+    last_pairs_.passed += site.pairs.passed;
+  }
 
   // The total order: gain descending, then site order, then order within
-  // the site.
-  std::vector<CandidateSub> out;
+  // the site — the (-gain, position) keys of the candidates in slice order.
+  // Only the k kept candidates are ranked and moved.
+  std::vector<CandidateSub*> all;
   for (std::vector<CandidateSub>& slice : slices)
-    for (CandidateSub& cand : slice) out.push_back(std::move(cand));
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CandidateSub& x, const CandidateSub& y) {
-                     return x.preselect_gain() > y.preselect_gain();
-                   });
-  last_truncated_ = 0;
-  if (out.size() > k) {
-    last_truncated_ = out.size() - k;
-    out.resize(k);
-  }
+    for (CandidateSub& cand : slice) all.push_back(&cand);
+  std::vector<std::pair<double, std::size_t>> keys(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i)
+    keys[i] = {-all[i]->preselect_gain(), i};
+  const std::size_t kept = std::min(k, keys.size());
+  std::partial_sort(keys.begin(),
+                    keys.begin() + static_cast<std::ptrdiff_t>(kept),
+                    keys.end());
+  std::vector<CandidateSub> out;
+  out.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i)
+    out.push_back(std::move(*all[keys[i].second]));
+  last_truncated_ = all.size() - kept;
   return out;
 }
 

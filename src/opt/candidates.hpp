@@ -45,6 +45,7 @@
 // signature buckets sorted — so a persistent finder with the same seed
 // returns bit-identical candidates.
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -85,6 +86,46 @@ struct CandidateOptions {
   bool allow_constants = true;  ///< replace unobservable signals by constants
   ResubOptions resub;           ///< generalized-resubstitution knobs
 };
+
+/// A library cell usable as a k-input replacement gate: its function
+/// depends on every input (constant and fewer-input shapes are the 2-signal
+/// pass's job).
+struct ReplacementCell {
+  CellId id = kInvalidCell;
+  const TruthTable* function = nullptr;
+  /// f's minterm bits, bit m = f(m), for the first 64 minterms.
+  std::uint64_t onset = 0;
+};
+
+/// The library's replacement cells with `arity` inputs, in library order.
+std::vector<ReplacementCell> replacement_cells(const CellLibrary& library,
+                                               int arity);
+
+/// One OS3/IS3 match of the pair filter: pool positions of b and c and the
+/// position of the cell in the filter's cell list.
+struct PairMatch {
+  std::uint32_t b = 0, c = 0, cell = 0;
+};
+
+/// Work done by the pair filter: (b, c) pairs tested, and how many left
+/// some cell standing.
+struct PairFilterCounts {
+  std::uint64_t pairs = 0, passed = 0;
+};
+
+/// The OS3/IS3 pair filter (paper §3.2). A 2-input cell f(b, c) agrees
+/// with the target signature `a` on the care patterns iff f maps each input
+/// minterm to every care value of `a` that minterm covers. Pairs are tried
+/// in order — b over the first `b_limit` pool entries, then c over the
+/// whole pool, c != b — and every cell of `cells` (2-input, in order) that
+/// agrees is appended to `out` until `cap` matches. `pool` holds each
+/// entry's signature, a.size() words like `care`.
+PairFilterCounts filter_pairs(std::span<const std::uint64_t> a,
+                              std::span<const std::uint64_t> care,
+                              std::span<const std::uint64_t* const> pool,
+                              int b_limit, int cap,
+                              std::span<const ReplacementCell> cells,
+                              std::vector<PairMatch>* out);
 
 class CandidateFinder final : public NetlistObserver {
  public:
@@ -138,6 +179,8 @@ class CandidateFinder final : public NetlistObserver {
   /// rest were pruned: their bound could not reach the k-th best gain).
   std::size_t last_sites() const { return last_sites_; }
   std::size_t last_sites_matched() const { return last_sites_matched_; }
+  /// The OS3/IS3 pair filter's work over the last find()'s matched sites.
+  PairFilterCounts last_three_sub_pairs() const { return last_pairs_; }
 
  private:
   friend struct CandidateFinderTestAccess;
@@ -148,6 +191,7 @@ class CandidateFinder final : public NetlistObserver {
     GateId target{};
     std::optional<FanoutRef> branch;
     double bound = 0.0;
+    PairFilterCounts pairs;  ///< the pair filter's work, once matched
   };
 
   const Netlist* netlist_;
@@ -158,6 +202,8 @@ class CandidateFinder final : public NetlistObserver {
   ThreadPool* pool_;
   TraceSession* trace_ = nullptr;
   std::size_t batch_sites_ = kBatchSites;  // smaller only in tests
+  // Replacement cells by arity; the library is fixed for the finder's life.
+  std::vector<std::vector<ReplacementCell>> cells_by_arity_;
 
   std::vector<GateId> signal_gates_;  // live PIs + cells, ascending
   // Global equivalence index: hash of the value signature (and of its
@@ -179,6 +225,7 @@ class CandidateFinder final : public NetlistObserver {
   std::size_t last_truncated_ = 0;
   std::size_t last_sites_ = 0;
   std::size_t last_sites_matched_ = 0;
+  PairFilterCounts last_pairs_;
 
   /// The harvest; `prune` = false matches every site (the parity oracle's
   /// reference, reachable from tests only).
@@ -194,14 +241,21 @@ class CandidateFinder final : public NetlistObserver {
   /// attached (shards are claimed dynamically for load balance).
   void for_sites(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// Every site in site order: for each signal, the stem, then every
+  /// branch of a multi-fanout stem.
+  std::vector<Site> collect_sites() const;
   /// The site's bound: the PG_A of a constant replacement at the site.
   double site_bound(GateId target, const FanoutRef* branch) const;
   struct SiteMarks;
   std::vector<GateId> build_pool(GateId around, SiteMarks& marks,
                                  Rng& rng) const;
+  /// The site's source pool: equivalence hits, the structural
+  /// neighborhood and random signals, none in the site's faulty region.
+  std::vector<GateId> site_pool(GateId target, const FanoutRef* branch) const;
   /// Observability, the constant candidate and pool + signature matching
-  /// for one site, appended to `out` in the site's own order.
-  void match_site(const Site& site, std::vector<CandidateSub>* out) const;
+  /// for one site, appended to `out` in the site's own order; records the
+  /// pair filter's work in `site.pairs`.
+  void match_site(Site& site, std::vector<CandidateSub>* out) const;
 };
 
 }  // namespace powder

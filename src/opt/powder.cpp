@@ -297,6 +297,11 @@ PowderReport PowderOptimizer::run() {
   const Meter m_sites_matched = meter(
       "powder_harvest_sites_matched_total",
       "Sites whose bound reached the k-th best gain and were matched");
+  const Meter m_pairs = meter("powder_three_sub_pairs_total",
+                              "(b, c) pairs the OS3/IS3 pair filter tested");
+  const Meter m_pairs_passed =
+      meter("powder_three_sub_pairs_passed_total",
+            "OS3/IS3 pairs that left some 2-input cell standing");
   const Meter m_funcred =
       meter("powder_funcred_merges_total",
             "Signals merged away by the functional-reduction pre-pass");
@@ -812,6 +817,8 @@ PowderReport PowderOptimizer::run() {
       m_truncated.c->inc(res.stats.truncated);
       m_sites.c->inc(res.stats.sites);
       m_sites_matched.c->inc(res.stats.sites_matched);
+      m_pairs.c->inc(res.stats.three_sub_pairs);
+      m_pairs_passed.c->inc(res.stats.three_sub_pairs_passed);
       m_pgc_evals.c->inc(res.stats.selection.pgc_evaluations);
       m_pgc_memo.c->inc(res.stats.selection.pgc_memo_hits);
       m_pgc_cone.c->inc(res.stats.replay.cone_gates);
@@ -1054,6 +1061,10 @@ PowderReport PowderOptimizer::run() {
       m_sites.c->inc(static_cast<long long>(finder->last_sites()));
       m_sites_matched.c->inc(
           static_cast<long long>(finder->last_sites_matched()));
+      m_pairs.c->inc(
+          static_cast<long long>(finder->last_three_sub_pairs().pairs));
+      m_pairs_passed.c->inc(
+          static_cast<long long>(finder->last_three_sub_pairs().passed));
       if (outer >= 1) {
         report.diagnostics.candidate_gates_refreshed +=
             static_cast<long>(finder->last_refresh_count());
@@ -1240,6 +1251,9 @@ PowderReport PowderOptimizer::run() {
   report.diagnostics.resub.harvest_sites = static_cast<long>(m_sites.delta());
   report.diagnostics.resub.harvest_sites_matched =
       static_cast<long>(m_sites_matched.delta());
+  report.diagnostics.resub.three_sub_pairs = static_cast<long>(m_pairs.delta());
+  report.diagnostics.resub.three_sub_pairs_passed =
+      static_cast<long>(m_pairs_passed.delta());
 
   // Close the WAL with its end marker. Commits the end-of-run walk rolled
   // back stay recorded — a resume re-applies them and its own walk rolls

@@ -412,6 +412,10 @@ struct PowderReport {
       long harvest_truncated = 0;  ///< candidates dropped by max_candidates
       long harvest_sites = 0;          ///< sites the harvests bounded
       long harvest_sites_matched = 0;  ///< sites matched, not bound-pruned
+      /// (b, c) pairs the OS3/IS3 pair filter tested over the matched
+      /// sites, and how many left some 2-input cell standing.
+      long three_sub_pairs = 0;
+      long three_sub_pairs_passed = 0;
     };
     Resub resub;
 

@@ -1,6 +1,7 @@
 #include "opt/power_gain.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <span>
 
@@ -8,30 +9,33 @@
 
 namespace powder {
 
-std::vector<std::uint64_t> replacement_words(const Simulator& sim,
-                                             const ReplacementFunction& rep) {
-  const int W = sim.num_words();
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(W), 0);
+namespace {
+
+/// Calls emit(w, word) for each of the substituting signal's value words
+/// under the simulator's current patterns, in word order.
+template <class Emit>
+void for_each_replacement_word(const Simulator& sim,
+                               const ReplacementFunction& rep, Emit&& emit) {
+  const auto W = static_cast<std::size_t>(sim.num_words());
   switch (rep.kind) {
-    case ReplacementFunction::Kind::kConstant:
-      if (rep.constant_value)
-        for (auto& w : out) w = ~0ull;
+    case ReplacementFunction::Kind::kConstant: {
+      const std::uint64_t word = rep.constant_value ? ~0ull : 0ull;
+      for (std::size_t w = 0; w < W; ++w) emit(w, word);
       break;
+    }
     case ReplacementFunction::Kind::kSignal: {
       const auto vb = sim.value(rep.b);
-      for (int w = 0; w < W; ++w)
-        out[static_cast<std::size_t>(w)] =
-            rep.invert_b ? ~vb[static_cast<std::size_t>(w)]
-                         : vb[static_cast<std::size_t>(w)];
+      for (std::size_t w = 0; w < W; ++w)
+        emit(w, rep.invert_b ? ~vb[w] : vb[w]);
       break;
     }
     case ReplacementFunction::Kind::kTwoInput: {
       const auto vb = sim.value(rep.b);
       const auto vc = sim.value(rep.c);
       const TruthTable& f = rep.two_input_fn;
-      for (int w = 0; w < W; ++w) {
-        std::uint64_t b = vb[static_cast<std::size_t>(w)];
-        std::uint64_t c = vc[static_cast<std::size_t>(w)];
+      for (std::size_t w = 0; w < W; ++w) {
+        std::uint64_t b = vb[w];
+        std::uint64_t c = vc[w];
         if (rep.invert_b) b = ~b;
         if (rep.invert_c) c = ~c;
         std::uint64_t r = 0;
@@ -39,35 +43,50 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
         if (f.bit(1)) r |= b & ~c;
         if (f.bit(2)) r |= ~b & c;
         if (f.bit(3)) r |= b & c;
-        out[static_cast<std::size_t>(w)] = r;
+        emit(w, r);
       }
       break;
     }
     case ReplacementFunction::Kind::kCell: {
       // k-ary word evaluation: OR together one AND-term per onset minterm.
       const int k = static_cast<int>(rep.divisors.size());
-      std::vector<std::span<const std::uint64_t>> vals;
-      vals.reserve(static_cast<std::size_t>(k));
-      for (const GateId d : rep.divisors) vals.push_back(sim.value(d));
       const TruthTable& f = rep.two_input_fn;
       const std::uint64_t minterms = 1ull << k;
-      for (int w = 0; w < W; ++w) {
+      for (std::size_t w = 0; w < W; ++w) {
         std::uint64_t r = 0;
         for (std::uint64_t m = 0; m < minterms; ++m) {
           if (!f.bit(m)) continue;
           std::uint64_t term = ~0ull;
           for (int v = 0; v < k; ++v) {
             const std::uint64_t dv =
-                vals[static_cast<std::size_t>(v)][static_cast<std::size_t>(w)];
+                sim.value(rep.divisors[static_cast<std::size_t>(v)])[w];
             term &= ((m >> v) & 1) ? dv : ~dv;
           }
           r |= term;
         }
-        out[static_cast<std::size_t>(w)] = r;
+        emit(w, r);
       }
       break;
     }
   }
+}
+
+/// The replacement's sources without allocating: the pair classes' sources
+/// go into `buf`, a k-ary cell's divisors are viewed in place.
+std::span<const GateId> sources_of(const ReplacementFunction& rep,
+                                   std::array<GateId, 2>& buf) {
+  if (rep.kind == ReplacementFunction::Kind::kCell) return rep.divisors;
+  buf = {rep.b, rep.c};
+  return {buf.data(), static_cast<std::size_t>(rep.num_sources())};
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> replacement_words(const Simulator& sim,
+                                             const ReplacementFunction& rep) {
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(sim.num_words()));
+  for_each_replacement_word(
+      sim, rep, [&](std::size_t w, std::uint64_t word) { out[w] = word; });
   return out;
 }
 
@@ -77,15 +96,6 @@ bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub) {
   const auto diff = sim.output_diff_with_replacement(sub.target, branch, words);
   return std::any_of(diff.begin(), diff.end(),
                      [](std::uint64_t w) { return w != 0; });
-}
-
-double words_activity(std::span<const std::uint64_t> words) {
-  std::uint64_t ones = 0;
-  for (std::uint64_t w : words)
-    ones += static_cast<std::uint64_t>(std::popcount(w));
-  const double p =
-      static_cast<double>(ones) / (64.0 * static_cast<double>(words.size()));
-  return 2.0 * p * (1.0 - p);
 }
 
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
@@ -103,24 +113,23 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
 
   // Dominated-region removal (Eq. 3): the MFFC of the target dies — except
   // for gates the replacement itself keeps alive (its sources may sit
-  // inside the cone).
-  const std::vector<GateId> cone =
-      netlist.mffc(sub.target, replacement_sources(sub));
-  // Cone-sized membership: a sorted copy, searched per fanin.
-  std::vector<GateId> members = cone;
-  std::sort(members.begin(), members.end());
+  // inside the cone). The cone stays in the thread's MFFC scratch, which
+  // also answers membership.
+  std::array<GateId, 2> buf;
+  const Netlist::MffcCone cone =
+      netlist.mffc_cone(sub.target, sources_of(sub.rep, buf));
 
   double gain = 0.0;
   // First sum: switched capacitance of the pruned gates' signals. The
   // target's own term uses its current load, which the substituting signal
   // inherits (PG_B charges it back at the new activity).
-  for (GateId g : cone) gain += netlist.signal_cap(g) * est.activity(g);
+  for (GateId g : cone.gates()) gain += netlist.signal_cap(g) * est.activity(g);
   // Second sum: pins of surviving signals that fed the cone.
-  for (GateId g : cone) {
+  for (GateId g : cone.gates()) {
     const std::span<const GateId> fanins = netlist.fanins(g);
     for (int pin = 0; pin < static_cast<int>(fanins.size()); ++pin) {
       const GateId fi = fanins[static_cast<std::size_t>(pin)];
-      if (!std::binary_search(members.begin(), members.end(), fi))
+      if (!cone.contains(fi))
         gain += netlist.pin_cap(g, pin) * est.activity(fi);
     }
   }
@@ -150,8 +159,17 @@ double compute_pg_b(const Netlist& netlist, const PowerModel& est,
     case ReplacementFunction::Kind::kTwoInput:
     case ReplacementFunction::Kind::kCell: {
       const Cell& cell = lib.cell(sub.new_cell);
-      const double e_new =
-          words_activity(replacement_words(est.simulator(), sub.rep));
+      // The new gate's zero-delay activity 2p(1-p), p its share of ones.
+      const Simulator& sim = est.simulator();
+      std::uint64_t ones = 0;
+      for_each_replacement_word(sim, sub.rep,
+                                [&](std::size_t, std::uint64_t word) {
+                                  ones += static_cast<std::uint64_t>(
+                                      std::popcount(word));
+                                });
+      const double p = static_cast<double>(ones) /
+                       (64.0 * static_cast<double>(sim.num_words()));
+      const double e_new = 2.0 * p * (1.0 - p);
       double cost = moved_cap * e_new;
       for (int i = 0; i < sub.rep.num_sources(); ++i)
         cost += cell.pins[static_cast<std::size_t>(i)].input_cap *
@@ -182,7 +200,9 @@ double compute_area_gain(const Netlist& netlist, const CandidateSub& sub) {
   // Removed cone (only when the whole dominated region dies).
   if (netlist.kind(sub.target) == GateKind::kCell &&
       removes_dominated_region(netlist, sub)) {
-    for (GateId g : netlist.mffc(sub.target, replacement_sources(sub)))
+    std::array<GateId, 2> buf;
+    for (GateId g :
+         netlist.mffc_cone(sub.target, sources_of(sub.rep, buf)).gates())
       gain += netlist.cell_of(g).area;
   }
   return gain;

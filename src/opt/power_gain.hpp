@@ -45,9 +45,6 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
 /// never reaches the proof engines.
 bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub);
 
-/// Switching activity 2p(1-p) of a word vector.
-double words_activity(std::span<const std::uint64_t> words);
-
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
                     const CandidateSub& sub);
 double compute_pg_b(const Netlist& netlist, const PowerModel& est,

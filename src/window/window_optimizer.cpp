@@ -116,6 +116,10 @@ WindowResult optimize_window(WindowExtraction& ex,
     result.stats.sites += static_cast<long>(finder.last_sites());
     result.stats.sites_matched +=
         static_cast<long>(finder.last_sites_matched());
+    result.stats.three_sub_pairs +=
+        static_cast<long>(finder.last_three_sub_pairs().pairs);
+    result.stats.three_sub_pairs_passed +=
+        static_cast<long>(finder.last_three_sub_pairs().passed);
     for (const CandidateSub& c : cands)
       ++result.stats.harvested_by_class[static_cast<std::size_t>(c.cls)];
 

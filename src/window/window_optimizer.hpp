@@ -57,6 +57,8 @@ struct WindowLocalStats {
   long truncated = 0;  ///< candidates dropped by the max_candidates cap
   long sites = 0;          ///< harvest sites bounded
   long sites_matched = 0;  ///< harvest sites matched (bound not pruned)
+  long three_sub_pairs = 0;         ///< OS3/IS3 pairs tested
+  long three_sub_pairs_passed = 0;  ///< OS3/IS3 pairs that passed
   /// Per-resubstitution-class harvest/proof counts (diagnostics.resub).
   std::array<long, kNumResubClasses> harvested_by_class{};
   std::array<long, kNumResubClasses> proved_by_class{};

@@ -3,10 +3,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "netlist/netlist.hpp"
 #include "util/check.hpp"
 
 namespace powder {
+
+/// Moves the in_tfo stamp epoch so a test can make it wrap.
+struct NetlistTestAccess {
+  static void set_tfo_epoch(const Netlist& nl, std::uint32_t epoch) {
+    nl.tfo_epoch_ = epoch;
+  }
+  static std::uint32_t tfo_epoch(const Netlist& nl) { return nl.tfo_epoch_; }
+};
+
 namespace {
 
 class NetlistTest : public ::testing::Test {
@@ -159,6 +172,63 @@ TEST_F(NetlistTest, TfoAndInTfo) {
   EXPECT_FALSE(nl_.in_tfo(g1, g1));
   const auto t = nl_.tfo(a);
   EXPECT_EQ(t.size(), 5u);  // g1, g2, g3 and two POs
+}
+
+// in_tfo stamps each call with a fresh epoch instead of clearing its
+// table; when the epoch wraps the table is cleared once, so the stamps the
+// calls before the wrap left must not read as "seen" afterwards.
+TEST_F(NetlistTest, InTfoSurvivesStampWrap) {
+  const GateId a = nl_.add_input("a");
+  const GateId b = nl_.add_input("b");
+  const GateId g1 = nl_.add_gate(cell("and2"), {a, b});
+  const GateId g2 = nl_.add_gate(cell("inv1"), {g1});
+  const GateId g3 = nl_.add_gate(cell("or2"), {g2, b});
+  nl_.add_output("f", g3);
+  auto expect_reachability = [&] {
+    EXPECT_TRUE(nl_.in_tfo(a, g3));
+    EXPECT_TRUE(nl_.in_tfo(g1, g3));
+    EXPECT_FALSE(nl_.in_tfo(g2, g1));
+    EXPECT_FALSE(nl_.in_tfo(g3, a));
+  };
+  // The first call stamps a, g1 and g2 with epoch 1.
+  EXPECT_TRUE(nl_.in_tfo(a, g3));
+  EXPECT_EQ(NetlistTestAccess::tfo_epoch(nl_), 1u);
+  // Run the epoch up to its last value, then wrap: epoch 1 comes round
+  // again and must walk past the gates the first call stamped.
+  NetlistTestAccess::set_tfo_epoch(nl_,
+                                   std::numeric_limits<std::uint32_t>::max() - 1);
+  EXPECT_FALSE(nl_.in_tfo(g3, a));  // the last epoch before the wrap
+  EXPECT_TRUE(nl_.in_tfo(a, g3));   // wraps to epoch 1
+  EXPECT_EQ(NetlistTestAccess::tfo_epoch(nl_), 1u);
+  expect_reachability();
+}
+
+// mffc_cone answers the same cone as mffc, plus O(1) membership.
+TEST_F(NetlistTest, MffcConeMatchesMffcAndAnswersMembership) {
+  const GateId a = nl_.add_input("a");
+  const GateId b = nl_.add_input("b");
+  const GateId shared = nl_.add_gate(cell("and2"), {a, b});
+  const GateId only = nl_.add_gate(cell("inv1"), {shared});
+  const GateId top = nl_.add_gate(cell("or2"), {only, shared});
+  nl_.add_output("f", top);
+  auto gates = [](const Netlist::MffcCone& cone) {
+    return std::vector<GateId>(cone.gates().begin(), cone.gates().end());
+  };
+  const std::vector<GateId> whole = nl_.mffc(top);
+  const Netlist::MffcCone cone = nl_.mffc_cone(top);
+  EXPECT_EQ(gates(cone), whole);
+  for (GateId g : {top, only, shared}) EXPECT_TRUE(cone.contains(g));
+  EXPECT_FALSE(cone.contains(a));
+  // Keeping `only` alive also keeps `shared`, which feeds it.
+  const std::vector<GateId> kept{only};
+  const std::vector<GateId> pruned = nl_.mffc(top, kept);
+  const Netlist::MffcCone small = nl_.mffc_cone(top, kept);
+  EXPECT_EQ(gates(small), pruned);
+  EXPECT_EQ(pruned, std::vector<GateId>{top});
+  EXPECT_TRUE(small.contains(top));
+  EXPECT_FALSE(small.contains(only));
+  EXPECT_FALSE(small.contains(shared));
+  EXPECT_TRUE(nl_.mffc_cone(a).gates().empty());  // PIs have no MFFC
 }
 
 TEST_F(NetlistTest, TopoOrderRespectsDependencies) {

@@ -225,14 +225,14 @@ TEST(ParallelParity, ProofWorkIsThreadCountInvariant) {
 }
 
 // The bound-pruned harvest fixes each batch's threshold before matching
-// it, so which sites are matched — and every harvest counter — must not
-// depend on the thread count either. scale500's harvests hit the cap, so
+// it, so which sites are matched — and every harvest counter, down to the
+// OS3/IS3 pair filter's — must not depend on the thread count either. scale500's harvests hit the cap, so
 // the bound prunes there.
 TEST(ParallelParity, HarvestWorkIsThreadCountInvariant) {
   const Netlist initial = make_scale_netlist(500);
   struct HarvestWork {
     std::string blif;
-    long sites, matched, truncated;
+    long sites, matched, truncated, pairs, pairs_passed;
     long long sites_counter, matched_counter;
   };
   auto run = [&](int threads) {
@@ -245,7 +245,7 @@ TEST(ParallelParity, HarvestWorkIsThreadCountInvariant) {
     const PowderReport::Diagnostics::Resub& d = r.diagnostics.resub;
     return HarvestWork{
         write_blif(nl), d.harvest_sites, d.harvest_sites_matched,
-        d.harvest_truncated,
+        d.harvest_truncated, d.three_sub_pairs, d.three_sub_pairs_passed,
         metrics.counter("powder_harvest_sites_total")->value(),
         metrics.counter("powder_harvest_sites_matched_total")->value()};
   };
@@ -259,6 +259,10 @@ TEST(ParallelParity, HarvestWorkIsThreadCountInvariant) {
   EXPECT_EQ(threaded.sites, serial.sites);
   EXPECT_EQ(threaded.matched, serial.matched);
   EXPECT_EQ(threaded.truncated, serial.truncated);
+  EXPECT_GT(serial.pairs_passed, 0);
+  EXPECT_LT(serial.pairs_passed, serial.pairs);
+  EXPECT_EQ(threaded.pairs, serial.pairs);
+  EXPECT_EQ(threaded.pairs_passed, serial.pairs_passed);
   EXPECT_EQ(threaded.sites_counter, serial.sites_counter);
   EXPECT_EQ(threaded.matched_counter, serial.matched_counter);
 }

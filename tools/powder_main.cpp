@@ -564,6 +564,11 @@ int cmd_optimize(const Args& a) {
     progress("powder: functional reduction merged %ld equivalent "
              "signal(s)\n",
              d.resub.funcred_merges);
+  if (d.resub.harvest_sites > 0)
+    progress("powder: harvest matched %ld of %ld site(s); the OS3/IS3 pair "
+             "filter passed %ld of %ld pair(s)\n",
+             d.resub.harvest_sites_matched, d.resub.harvest_sites,
+             d.resub.three_sub_pairs_passed, d.resub.three_sub_pairs);
   if (d.resub.harvest_truncated > 0)
     progress("powder: WARNING: %ld scored candidate(s) fell outside a "
              "harvest's max_candidates cap (%ld of %ld site(s) matched; the "
