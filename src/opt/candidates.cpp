@@ -119,7 +119,7 @@ PairFilterCounts filter_pairs(std::span<const std::uint64_t> a,
   const std::size_t n = s.words.size();
   s.split.resize(4 * n);
   const std::uint32_t* const words = s.words.data();
-  const std::uint64_t* const split = s.split.data();
+  std::uint64_t* const split = s.split.data();
 
   PairFilterCounts counts;
   int made = 0;
@@ -128,10 +128,10 @@ PairFilterCounts filter_pairs(std::span<const std::uint64_t> a,
     const std::uint64_t* const sig_b = pool[bi];
     for (std::size_t j = 0; j < n; ++j) {
       const std::uint64_t bw = sig_b[words[j]];
-      s.split[4 * j + 0] = s.on[j] & ~bw;
-      s.split[4 * j + 1] = s.on[j] & bw;
-      s.split[4 * j + 2] = s.off[j] & ~bw;
-      s.split[4 * j + 3] = s.off[j] & bw;
+      split[4 * j + 0] = s.on[j] & ~bw;
+      split[4 * j + 1] = s.on[j] & bw;
+      split[4 * j + 2] = s.off[j] & ~bw;
+      split[4 * j + 3] = s.off[j] & bw;
     }
     for (std::uint32_t ci = 0; ci < pool.size(); ++ci) {
       if (ci == bi) continue;

@@ -71,15 +71,6 @@ void for_each_replacement_word(const Simulator& sim,
   }
 }
 
-/// The replacement's sources without allocating: the pair classes' sources
-/// go into `buf`, a k-ary cell's divisors are viewed in place.
-std::span<const GateId> sources_of(const ReplacementFunction& rep,
-                                   std::array<GateId, 2>& buf) {
-  if (rep.kind == ReplacementFunction::Kind::kCell) return rep.divisors;
-  buf = {rep.b, rep.c};
-  return {buf.data(), static_cast<std::size_t>(rep.num_sources())};
-}
-
 }  // namespace
 
 std::vector<std::uint64_t> replacement_words(const Simulator& sim,
@@ -117,7 +108,7 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
   // also answers membership.
   std::array<GateId, 2> buf;
   const Netlist::MffcCone cone =
-      netlist.mffc_cone(sub.target, sources_of(sub.rep, buf));
+      netlist.mffc_cone(sub.target, replacement_sources(sub, buf));
 
   double gain = 0.0;
   // First sum: switched capacitance of the pruned gates' signals. The
@@ -202,7 +193,7 @@ double compute_area_gain(const Netlist& netlist, const CandidateSub& sub) {
       removes_dominated_region(netlist, sub)) {
     std::array<GateId, 2> buf;
     for (GateId g :
-         netlist.mffc_cone(sub.target, sources_of(sub.rep, buf)).gates())
+         netlist.mffc_cone(sub.target, replacement_sources(sub, buf)).gates())
       gain += netlist.cell_of(g).area;
   }
   return gain;

@@ -53,12 +53,12 @@ void check_applicable(const Netlist& netlist, const CandidateSub& sub) {
 
 }  // namespace
 
-std::vector<GateId> replacement_sources(const CandidateSub& sub) {
-  std::vector<GateId> sources;
-  sources.reserve(static_cast<std::size_t>(sub.rep.num_sources()));
-  for (int i = 0; i < sub.rep.num_sources(); ++i)
-    sources.push_back(sub.rep.source(i));
-  return sources;
+std::span<const GateId> replacement_sources(const CandidateSub& sub,
+                                            std::array<GateId, 2>& buf) {
+  if (sub.rep.kind == ReplacementFunction::Kind::kCell)
+    return sub.rep.divisors;
+  buf = {sub.rep.b, sub.rep.c};
+  return {buf.data(), static_cast<std::size_t>(sub.rep.num_sources())};
 }
 
 bool removes_dominated_region(const Netlist& netlist,
@@ -153,8 +153,11 @@ EditPlan plan_substitution(const Netlist& netlist, const CandidateSub& sub) {
   }
 
   if (netlist.kind(sub.target) == GateKind::kCell &&
-      removes_dominated_region(netlist, sub))
-    plan.removed_gates = netlist.mffc(sub.target, replacement_sources(sub));
+      removes_dominated_region(netlist, sub)) {
+    std::array<GateId, 2> buf;
+    plan.removed_gates =
+        netlist.mffc(sub.target, replacement_sources(sub, buf));
+  }
   return plan;
 }
 

@@ -11,7 +11,9 @@
 //   FUNCRED:      stem merged into an equivalent existing signal.
 //   OS2 by constant: special case used for unobservable stems.
 
+#include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "atpg/atpg.hpp"
@@ -62,7 +64,10 @@ AppliedSub apply_substitution(Netlist& netlist, const CandidateSub& sub);
 EditPlan plan_substitution(const Netlist& netlist, const CandidateSub& sub);
 
 /// The replacement's divisor set: the signals an MFFC sweep must keep alive.
-std::vector<GateId> replacement_sources(const CandidateSub& sub);
+/// Allocation-free: a k-input cell's divisors are viewed in place, the pair
+/// classes' sources are written to `buf`.
+std::span<const GateId> replacement_sources(const CandidateSub& sub,
+                                            std::array<GateId, 2>& buf);
 
 /// True when the substitution leaves the target fanout-free, so its whole
 /// dominated region dies: a stem substitution, or the branch was the

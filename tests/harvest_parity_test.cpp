@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -203,8 +204,9 @@ double reference_pg_a(const Netlist& netlist, const PowerModel& est,
              est.activity(sub.target);
     return netlist.signal_cap(sub.target) * est.activity(sub.target);
   }
+  std::array<GateId, 2> buf;
   const std::vector<GateId> cone =
-      netlist.mffc(sub.target, replacement_sources(sub));
+      netlist.mffc(sub.target, replacement_sources(sub, buf));
   std::vector<GateId> members = cone;
   std::sort(members.begin(), members.end());
   double gain = 0.0;
