@@ -754,7 +754,7 @@ Netlist make_scale_netlist(int num_gates, std::uint64_t seed) {
 
   const int tiles = num_gates / 10;
   // Shared PI pool, stride 4: neighbouring tiles overlap on half their
-  // inputs, so windows cut mid-tile still see correlated boundary signals.
+  // inputs, so their signals are correlated.
   const int pool = std::min(4096, std::max(16, num_gates / 50));
   std::vector<GateId> pis;
   pis.reserve(static_cast<std::size_t>(pool));

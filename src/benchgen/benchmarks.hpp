@@ -81,7 +81,7 @@ Aig make_random_logic(const std::string& name, int ninputs, int noutputs,
 
 /// Large already-mapped netlist for scaling experiments (10^5-10^6 gates):
 /// `num_gates/10` independent 10-gate tiles over a shared primary-input
-/// pool, each containing a duplicated cone (an OS2 opportunity the window
+/// pool, each containing a duplicated cone (an OS2 opportunity the
 /// optimizer can collapse). The fanout-bounded tile structure keeps proof
 /// cones shallow, so runtime scales with per-candidate work, not depth.
 /// Built directly against CellLibrary::standard_shared() — no mapping pass,

@@ -130,17 +130,10 @@ std::string PowderReport::to_json() const {
   append_field(os, "name_pool_bytes", diagnostics.name_pool_bytes, &df);
   append_field(os, "peak_rss_bytes", diagnostics.peak_rss_bytes, &df);
   append_field(os, "trace_dropped", diagnostics.trace_dropped, &df);
-  os << ",\"windowing\":{";
-  bool wf = true;
-  append_field(os, "windows_built", diagnostics.windowing.windows_built, &wf);
-  append_field(os, "window_commits", diagnostics.windowing.window_commits,
-               &wf);
-  append_field(os, "boundary_conflicts",
-               diagnostics.windowing.boundary_conflicts, &wf);
-  append_field(os, "window_reruns", diagnostics.windowing.window_reruns, &wf);
-  append_field(os, "window_gates_total",
-               diagnostics.windowing.window_gates_total, &wf);
-  os << "}";
+  // Retired within schema 5 with windowed mode: written as literal 0.
+  os << ",\"windowing\":{\"windows_built\":0,\"window_commits\":0,"
+        "\"boundary_conflicts\":0,\"window_reruns\":0,"
+        "\"window_gates_total\":0}";
   os << ",\"resub\":{";
   bool rf = true;
   append_field(os, "funcred_merges", diagnostics.resub.funcred_merges, &rf);

@@ -11,8 +11,7 @@
 // to be sound-for-rejection and cheap.
 //
 // Pair candidates (OS3/IS3) are enumerated over a bounded local pool to
-// keep the quadratic step affordable, mirroring the windowed clause
-// analysis of the TOS implementation.
+// keep the quadratic step affordable.
 //
 // Bound, then match (the paper's §3.5 preselection, one step earlier).
 // Every site's gain is bounded by the PG_A of a constant replacement there:

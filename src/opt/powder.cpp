@@ -6,7 +6,6 @@
 #include <limits>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 
 #include "bdd/netlist_bdd.hpp"
 #include "opt/funcred.hpp"
@@ -27,9 +26,6 @@
 #include "util/memstats.hpp"
 #include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
-#include "window/extract.hpp"
-#include "window/partition.hpp"
-#include "window/window_optimizer.hpp"
 
 namespace powder {
 
@@ -152,15 +148,6 @@ void PowderOptimizer::validate_options() const {
   POWDER_CHECK_MSG(o.session.mem_limit_bytes >= 0,
                    "PowderOptions.session.mem_limit_bytes must be "
                    "non-negative, got " << o.session.mem_limit_bytes);
-  POWDER_CHECK_MSG(o.window.max_gates >= 2,
-                   "PowderOptions.window.max_gates must be at least 2, got "
-                       << o.window.max_gates);
-  POWDER_CHECK_MSG(o.window.overlap >= 0 && o.window.overlap < o.window.max_gates,
-                   "PowderOptions.window.overlap must lie in [0, max_gates), "
-                   "got " << o.window.overlap);
-  POWDER_CHECK_MSG(o.window.rerun_limit >= 0,
-                   "PowderOptions.window.rerun_limit must be non-negative, "
-                   "got " << o.window.rerun_limit);
   POWDER_CHECK_MSG(o.session.podem_only_fraction >= 0.0 &&
                        o.session.podem_only_fraction <= 1.0 &&
                        o.session.signature_only_fraction >= 0.0 &&
@@ -226,8 +213,6 @@ PowderReport PowderOptimizer::run() {
   }
   report.diagnostics.threads_used = threads;
   run_span.arg("threads", threads);
-  const bool windowed = options_.window.mode == WindowMode::kWindowed;
-  run_span.arg("windowed", windowed ? 1 : 0);
 
   // The registry is the primary store for the run's decision counters; with
   // no user-supplied sink they land in a run-local registry instead, so the
@@ -275,20 +260,6 @@ PowderReport PowderOptimizer::run() {
   const Meter m_degraded =
       meter("powder_rejected_degraded_total",
             "Candidates rejected unproven by the degradation ladder");
-  const Meter m_windows = meter("powder_windows_built_total",
-                                "Windows extracted, including conflict reruns");
-  const Meter m_window_gates =
-      meter("powder_window_gates_total",
-            "Sum of gate counts over all extracted windows");
-  const Meter m_window_commits =
-      meter("powder_window_commits_total",
-            "Local window commits merged into the parent netlist");
-  const Meter m_window_conflicts =
-      meter("powder_window_boundary_conflicts_total",
-            "Windows skipped at merge because their support was touched");
-  const Meter m_window_reruns =
-      meter("powder_window_reruns_total",
-            "Serial window re-optimizations after boundary conflicts");
   const Meter m_truncated =
       meter("powder_harvest_truncated_total",
             "Candidates dropped because a harvest hit max_candidates");
@@ -354,8 +325,8 @@ PowderReport PowderOptimizer::run() {
   ladder.set_progress(prog);
 
   // Shared pool for the data-parallel kernels (word-sharded simulation, the
-  // three-pass candidate harvest) and the window fan-out. Proofs of the
-  // global loop run inline on this thread, the single commit thread.
+  // three-pass candidate harvest). Proofs run inline on this thread, the
+  // single commit thread.
   ThreadPool pool(threads - 1);
 
   MetricsRegistry* const component_metrics = options_.trace.metrics;
@@ -417,7 +388,7 @@ PowderReport PowderOptimizer::run() {
       if (netlist_->alive(g) && netlist_->kind(g) == GateKind::kCell)
         ++live_cells;
     prog->run_start(netlist_->name(), live_cells, netlist_->num_inputs(),
-                    netlist_->num_outputs(), threads, windowed,
+                    netlist_->num_outputs(), threads,
                     power_model_name(model.kind()));
   }
 
@@ -510,24 +481,16 @@ PowderReport PowderOptimizer::run() {
 
   // Persistent across iterations: the signature index refreshes only the
   // epoch-dirty gates on re-harvest. Reseeding per iteration keeps the RNG
-  // stream identical to a freshly constructed finder. Windowed mode
-  // harvests inside each window's own finder, so the parent-level index
-  // (an O(N) build plus a delta-bus subscription) is skipped entirely.
-  std::optional<CandidateFinder> finder;
-  if (!windowed) {
-    finder.emplace(*netlist_, model, options_.candidates, options_.seed,
-                   &pool);
-    finder->set_trace(trace);
-  }
+  // stream identical to a freshly constructed finder.
+  CandidateFinder finder(*netlist_, model, options_.candidates, options_.seed,
+                         &pool);
+  finder.set_trace(trace);
 
   // Decision audit: one NDJSON record per candidate the loop below settles.
-  // `audit_window` is -1 except while merging one window's commits; it tags
-  // that merge's audit records, attribution, progress events and WAL
-  // frames. A ProofNote carries what the proof stage knew when a candidate
-  // was settled.
+  // A ProofNote carries what the proof stage knew when a candidate was
+  // settled.
   long long audit_seq = 0;
   int audit_iteration = 0;
-  int audit_window = -1;
   struct ProofNote {
     bool pg_c_known = false;
     const char* engine = nullptr;
@@ -540,7 +503,6 @@ PowderReport PowderOptimizer::run() {
     AuditRecord r;
     r.seq = audit_seq++;
     r.iteration = audit_iteration;
-    r.window = audit_window;
     r.epoch = netlist_->epoch();
     r.cls = subst_class_name(c.cls);
     r.target = static_cast<long long>(c.target);
@@ -598,8 +560,7 @@ PowderReport PowderOptimizer::run() {
   bool stopped = false;
 
   // ---- delay check (§3.4) ------------------------------------------------
-  // Against the parent's live arrival times; a violation is counted and
-  // audited here.
+  // Against the live arrival times; a violation is counted and audited here.
   auto delay_ok = [&](const CandidateSub& cand, const ProofNote& note) {
     TraceSpan delay_span(trace, "delay_check", "sta");
     const bool violated = violates_delay(cand, report.delay_limit, timing,
@@ -624,27 +585,23 @@ PowderReport PowderOptimizer::run() {
     stats.area_delta += area_delta;
     commit_log.push_back(CommitRecord{cls, power_delta, area_delta});
     if (attr != nullptr)
-      attr->record_commit(static_cast<int>(cls), audit_window, power_delta);
+      attr->record_commit(static_cast<int>(cls), power_delta);
     if (prog != nullptr)
-      prog->commit(audit_iteration, subst_class_name(cls), audit_window,
-                   power_delta, power_after);
+      prog->commit(audit_iteration, subst_class_name(cls), power_delta,
+                   power_after);
     m_applied.c->inc();
   };
 
   // ---- the commit step: perform_substitution + power_estimate_update -----
-  // The one place a proved candidate reaches the netlist, for the global
-  // loop and the window merge alike: journal apply, resync, the PO-signature
-  // guard (rolling back on a mismatch), accounting, resume verification,
-  // the WAL frame and the "accepted" audit record. Returns the applied
-  // delta, or nullopt when the candidate was dropped; a rollback that fails
+  // The one place a proved candidate reaches the netlist: journal apply,
+  // resync, the PO-signature guard (rolling back on a mismatch), accounting,
+  // resume verification, the WAL frame and the "accepted" audit record.
+  // Returns false when the candidate was dropped; a rollback that fails
   // (possible only with a corrupted journal) also sets `stopped`.
   auto commit = [&](const CandidateSub& cand, int ordinal,
-                    const ProofNote& note) -> std::optional<AppliedSub> {
+                    const ProofNote& note) {
     const double power_before = model.total_power();
     const double area_before = netlist_->total_area();
-    const std::uint32_t wal_window =
-        audit_window < 0 ? kGlobalWindow
-                         : static_cast<std::uint32_t>(audit_window);
     const bool replaying = resume.matches(cand);
     AppliedSub applied;
     try {
@@ -658,7 +615,7 @@ PowderReport PowderOptimizer::run() {
             "re-apply (wrong input netlist or tampered log?)");
       m_apply_fail.c->inc();
       audit_decision(cand, "apply_failed", note);
-      return std::nullopt;
+      return false;
     }
     resync();
     if (options_.check_invariants) netlist_->check_consistency();
@@ -680,16 +637,17 @@ PowderReport PowderOptimizer::run() {
         resync();
         stopped = true;
       }
-      return std::nullopt;
+      return false;
     }
 
     book_commit(cand.cls, power_before, area_before);
     if (resume.active()) {
       // Replay verification: while the WAL cursor runs, every commit must
-      // be the next recorded one and reproduce its delta bit for bit. The
-      // merge order is deterministic, so this holds for window commits too.
+      // be the next recorded one and reproduce its delta bit for bit. A WAL
+      // is outside input, so a frame naming any window but the global loop
+      // is rejected too.
       const WalCommit& rec = resume.current();
-      if (!replaying || rec.window != wal_window ||
+      if (!replaying || rec.window != kGlobalWindow ||
           !same_applied(rec.applied, applied))
         throw Error::input(
             "resume diverged: a replayed commit no longer matches the "
@@ -701,21 +659,17 @@ PowderReport PowderOptimizer::run() {
     // a rolled-back substitution. A kill inside the frame write leaves a
     // torn tail the reader drops — the commit then simply re-runs live
     // on resume, with the same deterministic verdict.
-    recorder.record_commit(audit_iteration, ordinal, cand, applied,
-                           wal_window);
+    recorder.record_commit(audit_iteration, ordinal, cand, applied);
     audit_decision(cand, "accepted", note);
     progress = true;
-    return applied;
+    return true;
   };
 
   // ---- functional-reduction pre-pass (DESIGN.md §12) ---------------------
-  // Runs on the whole netlist before either main loop — including windowed
-  // mode, where merging equivalent stems globally is both sound (each merge
-  // carries its own permissibility proof and guard check) and more
-  // effective than any per-window sweep could be (equivalent signals
-  // rarely land in the same window). Merges are journaled and recorded as
-  // kPrepass WAL frames, so crash/resume replays them in lockstep before
-  // touching the commit cursor.
+  // Runs on the whole netlist before the greedy loop; each merge carries its
+  // own permissibility proof and guard check. Merges are journaled and
+  // recorded as kPrepass WAL frames, so crash/resume replays them in
+  // lockstep before touching the commit cursor.
   if (options_.candidates.resub.funcred) {
     TraceSpan fr_span(trace, "funcred", "powder");
     if (prog != nullptr) prog->phase(0, "funcred");
@@ -773,402 +727,144 @@ PowderReport PowderOptimizer::run() {
     fr_span.arg("pairs", fr.pairs_tested);
   }
 
-  if (windowed) {
-    // ---- windowed mode (DESIGN.md §11) ----------------------------------
-    // Partition the parent along its topo order, optimize every window
-    // independently (thread fan-out happens here; each local run is a pure
-    // function of its extraction), then merge strictly serially in a
-    // deterministic order — results are bit-identical at any thread count.
-    int next_window_id = 0;
-    std::unordered_set<GateId> touched;
+  for (int outer = 0;
+       progress && !stopped && outer < options_.max_outer_iterations;
+       ++outer) {
+    m_iterations.c->inc();
+    audit_iteration = outer + 1;
+    TraceSpan iter_span(trace, "iteration", "powder");
+    iter_span.arg("outer", outer + 1);
+    progress = false;
+    if (stop_requested()) break;
+    progress_tick();
 
-    // Per-window WAL oracle views for windowed resume: each local loop
-    // replays proof verdicts from the commits recorded under its window
-    // id, while the merge below still verifies against the global cursor.
-    auto window_records = [&](int id) {
-      std::vector<const WalCommit*> recs;
-      if (resume.loaded())
-        for (const WalCommit& c : resume.commits())
-          if (c.window == static_cast<std::uint32_t>(id)) recs.push_back(&c);
-      return recs;
-    };
-
-    // Merges one optimized window into the parent. Returns false when the
-    // window must be re-run: a boundary conflict, or a mid-window failure
-    // (apply/delay/guard) that strands the commits building on it.
-    long long merged_total = 0;
-    auto merge_window = [&](WindowExtraction& ex, WindowResult& res,
-                            bool check_conflicts) -> bool {
-      // Decisions taken while merging this window carry its id in the
-      // audit stream; restored on every exit path.
-      struct WindowIdScope {
-        int* slot;
-        int saved;
-        WindowIdScope(int* s, int v) : slot(s), saved(*s) { *slot = v; }
-        ~WindowIdScope() { *slot = saved; }
-      } audit_window_scope(&audit_window, ex.id);
-      // Fold the local decision counters serially — deterministic totals.
-      m_harvested.c->inc(res.stats.harvested);
-      m_stale.c->inc(res.stats.stale);
-      m_presim.c->inc(res.stats.presim_rejected);
-      m_proof_rej.c->inc(res.stats.proof_rejected);
-      m_guard_rb.c->inc(res.stats.guard_rollbacks);
-      m_inline.c->inc(res.stats.inline_proofs);
-      m_truncated.c->inc(res.stats.truncated);
-      m_sites.c->inc(res.stats.sites);
-      m_sites_matched.c->inc(res.stats.sites_matched);
-      m_pairs.c->inc(res.stats.three_sub_pairs);
-      m_pairs_passed.c->inc(res.stats.three_sub_pairs_passed);
-      m_pgc_evals.c->inc(res.stats.selection.pgc_evaluations);
-      m_pgc_memo.c->inc(res.stats.selection.pgc_memo_hits);
-      m_pgc_cone.c->inc(res.stats.replay.cone_gates);
-      m_pgc_fallback.c->inc(res.stats.replay.fallback_pairs);
-      for (int i = 0; i < kNumResubClasses; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        m_cls_harvested[k].c->inc(res.stats.harvested_by_class[k]);
-        m_cls_proved[k].c->inc(res.stats.proved_by_class[k]);
-      }
-      if (res.commits.empty()) return true;
-      if (check_conflicts) {
-        for (const GateId g : ex.support)
-          if (touched.count(g) != 0) {
-            m_window_conflicts.c->inc();
-            if (audit != nullptr) {
-              AuditEvent e;
-              e.event = "window_conflict";
-              e.reason = "boundary_overlap";
-              e.value = ex.id;
-              audit->write_event(e);
-            }
-            return false;
-          }
-      }
-      auto mark = [&](GateId g) {
-        if (g != kNullGate) touched.insert(g);
-      };
-      std::vector<GateId>& to_parent = ex.to_parent;
-      for (const WindowCommit& wc : res.commits) {
-        CandidateSub cand;
-        if (!map_to_parent(to_parent, wc.cand, &cand))
-          return false;  // an earlier commit of this window failed
-
-        // The rest of the window builds on each commit: a dropped one ends
-        // the merge, and a re-run rediscovers what still fits.
-        if (!delay_ok(cand, {true})) return false;
-        const std::optional<AppliedSub> applied =
-            commit(cand, static_cast<int>(merged_total),
-                   {true, "window", "untestable"});
-        if (!applied.has_value()) return stopped;  // stopping — no re-run
-        m_window_commits.c->inc();
-        ++merged_total;
-
-        // Extend the local->parent map with the inserted gate so later
-        // commits of this window that reference it keep mapping.
-        if (wc.applied.new_gate != kNullGate &&
-            applied->new_gate != kNullGate) {
-          if (wc.applied.new_gate >= to_parent.size())
-            to_parent.resize(wc.applied.new_gate + 1, kNullGate);
-          to_parent[wc.applied.new_gate] = applied->new_gate;
-        }
-
-        // Every parent-side edit endpoint joins the touched set; later
-        // windows whose support intersects it are conflict-skipped. The
-        // parent MFFC sweep can exceed the local one (it reaches cones the
-        // window clipped), so the endpoints come from the parent delta.
-        mark(cand.target);
-        for (const GateId g : applied->removed_gates) mark(g);
-        for (const auto& fl : applied->removed_fanins)
-          for (const GateId g : fl) mark(g);
-        for (const RewiredPin& p : applied->rewired_pins) {
-          mark(p.sink);
-          mark(p.old_driver);
-          mark(p.new_driver);
-        }
-        for (const ResizedCell& r : applied->resized_cells) mark(r.gate);
-        for (const GateId g : applied->changed_roots) mark(g);
-        if (applied->new_gate != kNullGate) {
-          mark(applied->new_gate);
-          for (const GateId g : netlist_->fanins(applied->new_gate)) mark(g);
-        }
-      }
-      return true;
-    };
-
-    for (int outer = 0;
-         progress && !stopped && outer < options_.max_outer_iterations;
-         ++outer) {
-      m_iterations.c->inc();
-      audit_iteration = outer + 1;
-      TraceSpan iter_span(trace, "iteration", "powder");
-      iter_span.arg("outer", outer + 1);
-      progress = false;
-      if (stop_requested()) break;
-      progress_tick();
-      const long long merged_before = merged_total;
-
-      // Partition and extract serially from the current parent state.
-      std::vector<WindowExtraction> extractions;
-      {
-        TraceSpan part_span(trace, "window_partition", "window");
-        if (prog != nullptr)
-          prog->phase(audit_iteration, "window_partition");
-        const auto plans = partition_windows(*netlist_, options_.window);
-        extractions.reserve(plans.size());
-        for (const auto& plan : plans) {
-          extractions.push_back(
-              extract_window(*netlist_, model, plan, next_window_id++));
-          m_windows.c->inc();
-          m_window_gates.c->inc(
-              static_cast<long long>(extractions.back().gates.size()));
-          if (prog != nullptr)
-            prog->window_event(
-                audit_iteration, extractions.back().id, "extracted",
-                static_cast<long long>(extractions.back().gates.size()));
-        }
-        part_span.arg("windows", static_cast<long long>(extractions.size()));
-      }
-      if (extractions.empty()) break;
-
-      std::vector<std::vector<const WalCommit*>> oracles(extractions.size());
-      for (std::size_t i = 0; i < extractions.size(); ++i)
-        oracles[i] = window_records(extractions[i].id);
-      std::vector<WindowResult> results(extractions.size());
-      pool.for_shards(static_cast<int>(extractions.size()),
-                      [&](int shard, int) {
-                        WindowRunOptions wo;
-                        wo.base = &options_;
-                        wo.seed =
-                            window_seed(options_.seed, extractions[shard].id);
-                        wo.budget = &budget;
-                        wo.trace = trace;
-                        wo.replay = &oracles[shard];
-                        results[shard] =
-                            optimize_window(extractions[shard], wo);
-                      });
-
-      touched.clear();
-      std::vector<std::size_t> rerun_queue;
-      {
-        TraceSpan merge_span(trace, "window_merge", "window");
-        if (prog != nullptr)
-          prog->phase(audit_iteration, "window_merge",
-                      static_cast<long long>(extractions.size()), "windows");
-        const auto order = window_merge_order(extractions.size(),
-                                              options_.window.order_seed);
-        for (const std::size_t idx : order) {
-          if (stopped || stop_requested()) {
-            stopped = true;
-            break;
-          }
-          if (!merge_window(extractions[idx], results[idx],
-                            /*check_conflicts=*/true)) {
-            rerun_queue.push_back(idx);
-            if (prog != nullptr)
-              prog->window_event(audit_iteration, extractions[idx].id,
-                                 "conflict");
-          } else if (prog != nullptr) {
-            prog->window_event(
-                audit_iteration, extractions[idx].id, "merged", -1,
-                static_cast<long long>(results[idx].commits.size()));
-          }
-          progress_tick();
-        }
-        merge_span.arg("merged", merged_total - merged_before);
-        merge_span.arg("conflicts",
-                       static_cast<long long>(rerun_queue.size()));
-      }
-
-      // Conflicted windows re-run serially against the now-mutated parent:
-      // re-extract the surviving gates, optimize inline, merge immediately
-      // (nothing intervenes, so no conflict check is needed).
-      for (int round = 0; round < options_.window.rerun_limit &&
-                          !rerun_queue.empty() && !stopped;
-           ++round) {
-        std::vector<std::size_t> next_queue;
-        for (const std::size_t idx : rerun_queue) {
-          if (stopped || stop_requested()) {
-            stopped = true;
-            break;
-          }
-          std::vector<std::uint8_t> member(netlist_->num_slots(), 0);
-          for (const GateId g : extractions[idx].gates)
-            if (netlist_->alive(g) && netlist_->kind(g) == GateKind::kCell)
-              member[g] = 1;
-          std::vector<GateId> alive_gates;
-          for (const GateId g : netlist_->topo_order())
-            if (member[g]) alive_gates.push_back(g);
-          if (alive_gates.empty()) continue;
-          m_window_reruns.c->inc();
-          WindowExtraction ex =
-              extract_window(*netlist_, model, alive_gates, next_window_id++);
-          m_windows.c->inc();
-          m_window_gates.c->inc(static_cast<long long>(ex.gates.size()));
-          if (audit != nullptr) {
-            AuditEvent e;
-            e.event = "window_rerun";
-            e.reason = "boundary_conflict";
-            e.value = ex.id;
-            audit->write_event(e);
-          }
-          WindowRunOptions wo;
-          wo.base = &options_;
-          wo.seed = window_seed(options_.seed, ex.id);
-          wo.budget = &budget;
-          wo.trace = trace;
-          const auto oracle = window_records(ex.id);
-          wo.replay = &oracle;
-          if (prog != nullptr)
-            prog->window_event(audit_iteration, ex.id, "rerun",
-                               static_cast<long long>(ex.gates.size()));
-          WindowResult res = optimize_window(ex, wo);
-          if (!merge_window(ex, res, /*check_conflicts=*/false))
-            next_queue.push_back(idx);
-          progress_tick();
-        }
-        rerun_queue = std::move(next_queue);
-      }
-      iter_span.arg("applied", merged_total - merged_before);
+    finder.reseed(options_.seed + 17 * static_cast<std::uint64_t>(outer));
+    std::vector<CandidateSub> cands;
+    {
+      TraceSpan harvest_span(trace, "harvest", "harvest");
+      if (prog != nullptr) prog->phase(audit_iteration, "harvest");
+      cands = finder.find();
+      harvest_span.arg("candidates", static_cast<long long>(cands.size()));
+      harvest_span.arg("sites_matched",
+                       static_cast<long long>(finder.last_sites_matched()));
     }
-  } else {
-    for (int outer = 0;
-         progress && !stopped && outer < options_.max_outer_iterations;
-         ++outer) {
-      m_iterations.c->inc();
-      audit_iteration = outer + 1;
-      TraceSpan iter_span(trace, "iteration", "powder");
-      iter_span.arg("outer", outer + 1);
-      progress = false;
-      if (stop_requested()) break;
-      progress_tick();
+    if (prog != nullptr)
+      prog->phase(audit_iteration, "proof",
+                  static_cast<long long>(cands.size()), "candidates");
+    m_harvested.c->inc(static_cast<long long>(cands.size()));
+    for (const CandidateSub& c : cands)
+      m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
+    m_truncated.c->inc(static_cast<long long>(finder.last_truncated()));
+    m_sites.c->inc(static_cast<long long>(finder.last_sites()));
+    m_sites_matched.c->inc(
+        static_cast<long long>(finder.last_sites_matched()));
+    m_pairs.c->inc(
+        static_cast<long long>(finder.last_three_sub_pairs().pairs));
+    m_pairs_passed.c->inc(
+        static_cast<long long>(finder.last_three_sub_pairs().passed));
+    if (outer >= 1) {
+      report.diagnostics.candidate_gates_refreshed +=
+          static_cast<long>(finder.last_refresh_count());
+      report.diagnostics.candidate_index_size +=
+          static_cast<long>(finder.index_size());
+    }
 
-      finder->reseed(options_.seed + 17 * static_cast<std::uint64_t>(outer));
-      std::vector<CandidateSub> cands;
-      {
-        TraceSpan harvest_span(trace, "harvest", "harvest");
-        if (prog != nullptr) prog->phase(audit_iteration, "harvest");
-        cands = finder->find();
-        harvest_span.arg("candidates", static_cast<long long>(cands.size()));
-        harvest_span.arg("sites_matched",
-                         static_cast<long long>(finder->last_sites_matched()));
+    int performed = 0;
+    while (performed < options_.repeat && !cands.empty()) {
+      if (stop_requested()) {
+        stopped = true;
+        break;
       }
-      if (prog != nullptr)
-        prog->phase(audit_iteration, "proof",
-                    static_cast<long long>(cands.size()), "candidates");
-      m_harvested.c->inc(static_cast<long long>(cands.size()));
-      for (const CandidateSub& c : cands)
-        m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
-      m_truncated.c->inc(static_cast<long long>(finder->last_truncated()));
-      m_sites.c->inc(static_cast<long long>(finder->last_sites()));
-      m_sites_matched.c->inc(
-          static_cast<long long>(finder->last_sites_matched()));
-      m_pairs.c->inc(
-          static_cast<long long>(finder->last_three_sub_pairs().pairs));
-      m_pairs_passed.c->inc(
-          static_cast<long long>(finder->last_three_sub_pairs().passed));
-      if (outer >= 1) {
-        report.diagnostics.candidate_gates_refreshed +=
-            static_cast<long>(finder->last_refresh_count());
-        report.diagnostics.candidate_index_size +=
-            static_cast<long>(finder->index_size());
-      }
+      // ---- select_power_red_subst --------------------------------------
+      // Refresh validity and PG_A+PG_B of the surviving candidates whose
+      // memo predates the netlist's epoch, preselect the best, then
+      // re-estimate PG_C for the shortlist only.
+      const std::size_t best = select_power_red_subst(
+          *netlist_, model, &cands, options_,
+          [&](const CandidateSub& c) {
+            if (substitution_still_valid(*netlist_, c)) return true;
+            m_stale.c->inc();
+            audit_decision(c, "rejected_stale");
+            return false;
+          },
+          &selection_stats);
+      if (best == cands.size()) break;  // nothing left that helps
 
-      int performed = 0;
-      while (performed < options_.repeat && !cands.empty()) {
-        if (stop_requested()) {
-          stopped = true;
-          break;
-        }
-        // ---- select_power_red_subst --------------------------------------
-        // Refresh validity and PG_A+PG_B of the surviving candidates whose
-        // memo predates the netlist's epoch, preselect the best, then
-        // re-estimate PG_C for the shortlist only.
-        const std::size_t best = select_power_red_subst(
-            *netlist_, model, &cands, options_,
-            [&](const CandidateSub& c) {
-              if (substitution_still_valid(*netlist_, c)) return true;
-              m_stale.c->inc();
-              audit_decision(c, "rejected_stale");
-              return false;
-            },
-            &selection_stats);
-        if (best == cands.size()) break;  // nothing left that helps
+      CandidateSub chosen = cands[best];
+      cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
+      ProofNote note{options_.objective != Objective::kArea};
 
-        CandidateSub chosen = cands[best];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
-        ProofNote note{options_.objective != Objective::kArea};
+      if (!delay_ok(chosen, note)) continue;
 
-        if (!delay_ok(chosen, note)) continue;
-
-        // ---- check_candidate: permissibility proof ------------------------
-        // Fault injection can force an unproven candidate through this
-        // pipeline; the post-commit guard in `commit` is what must catch it.
-        bool forced = false;
-        if (inject_fault(FaultInjector::Site::kStaleCandidate))
-          forced = corrupt_candidate(*netlist_, verify_sim, &chosen);
-        if (inject_fault(FaultInjector::Site::kAcceptProof)) forced = true;
-        if (!forced) {
-          // Cheap pre-proof on the independent pattern set.
-          if (refuted_by_simulation(verify_sim, chosen)) {
-            m_presim.c->inc();
-            audit_decision(chosen, "rejected_presim", note);
-            continue;
-          }
-          AtpgResult proof;
-          if (resume.active()) {
-            // WAL fast-forward: the oracle replaces the proof engines. A
-            // candidate matching the next recorded commit was proved
-            // permissible by the original run; any other candidate that
-            // reaches this stage was rejected by it. Every cheaper stage
-            // (harvest, selection, staleness, delay, presim) is recomputed
-            // live, so once the cursor drains the run continues seamlessly —
-            // and bit-identically — on the real engines.
-            proof = resume.matches(chosen) ? AtpgResult::kUntestable
-                                           : AtpgResult::kTestFound;
-            note.engine = "replay";
-          } else if (ladder.level() == DegradationLevel::kSignatureOnly) {
-            // Signature-reject-only rung: proof effort is no longer
-            // affordable, and an unproven candidate is never accepted — so
-            // everything that survives presim is rejected here while the run
-            // drains toward a clean stop with its committed gains intact.
-            m_degraded.c->inc();
-            note.engine = "none";
-            note.verdict = "skipped";
-            audit_decision(chosen, "rejected_degraded", note);
-            continue;
-          } else {
-            const ProofEngine engine =
-                ladder.level() == DegradationLevel::kPodemOnly
-                    ? ProofEngine::kPodem
-                    : options_.proof.engine;
-            const bool timed = options_.trace.any();
-            const std::uint64_t t0 = timed ? trace_now_ns() : 0;
-            proof = prove_replacement(atpg, sat, engine, chosen.site(),
-                                      chosen.rep);
-            if (timed)
-              note.us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
-            note.engine = engine_name(engine);
-            m_inline.c->inc();
-          }
-          note.verdict = verdict_name(proof);
-          if (proof != AtpgResult::kUntestable) {
-            m_proof_rej.c->inc();
-            audit_decision(chosen, "rejected_proof", note);
-            continue;
-          }
-          m_cls_proved[static_cast<std::size_t>(chosen.cls)].c->inc();
-        }
-
-        if (!commit(chosen, performed, note)) {
-          if (stopped) break;
+      // ---- check_candidate: permissibility proof ------------------------
+      // Fault injection can force an unproven candidate through this
+      // pipeline; the post-commit guard in `commit` is what must catch it.
+      bool forced = false;
+      if (inject_fault(FaultInjector::Site::kStaleCandidate))
+        forced = corrupt_candidate(*netlist_, verify_sim, &chosen);
+      if (inject_fault(FaultInjector::Site::kAcceptProof)) forced = true;
+      if (!forced) {
+        // Cheap pre-proof on the independent pattern set.
+        if (refuted_by_simulation(verify_sim, chosen)) {
+          m_presim.c->inc();
+          audit_decision(chosen, "rejected_presim", note);
           continue;
         }
-        ++performed;
-        progress_tick();
+        AtpgResult proof;
+        if (resume.active()) {
+          // WAL fast-forward: the oracle replaces the proof engines. A
+          // candidate matching the next recorded commit was proved
+          // permissible by the original run; any other candidate that
+          // reaches this stage was rejected by it. Every cheaper stage
+          // (harvest, selection, staleness, delay, presim) is recomputed
+          // live, so once the cursor drains the run continues seamlessly —
+          // and bit-identically — on the real engines.
+          proof = resume.matches(chosen) ? AtpgResult::kUntestable
+                                         : AtpgResult::kTestFound;
+          note.engine = "replay";
+        } else if (ladder.level() == DegradationLevel::kSignatureOnly) {
+          // Signature-reject-only rung: proof effort is no longer
+          // affordable, and an unproven candidate is never accepted — so
+          // everything that survives presim is rejected here while the run
+          // drains toward a clean stop with its committed gains intact.
+          m_degraded.c->inc();
+          note.engine = "none";
+          note.verdict = "skipped";
+          audit_decision(chosen, "rejected_degraded", note);
+          continue;
+        } else {
+          const ProofEngine engine =
+              ladder.level() == DegradationLevel::kPodemOnly
+                  ? ProofEngine::kPodem
+                  : options_.proof.engine;
+          const bool timed = options_.trace.any();
+          const std::uint64_t t0 = timed ? trace_now_ns() : 0;
+          proof = prove_replacement(atpg, sat, engine, chosen.site(),
+                                    chosen.rep);
+          if (timed)
+            note.us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
+          note.engine = engine_name(engine);
+          m_inline.c->inc();
+        }
+        note.verdict = verdict_name(proof);
+        if (proof != AtpgResult::kUntestable) {
+          m_proof_rej.c->inc();
+          audit_decision(chosen, "rejected_proof", note);
+          continue;
+        }
+        m_cls_proved[static_cast<std::size_t>(chosen.cls)].c->inc();
       }
-      if (prog != nullptr)
-        prog->phase(audit_iteration, "commit", performed, "applied");
-      iter_span.arg("applied", performed);
+
+      if (!commit(chosen, performed, note)) {
+        if (stopped) break;
+        continue;
+      }
+      ++performed;
+      progress_tick();
     }
+    if (prog != nullptr)
+      prog->phase(audit_iteration, "commit", performed, "applied");
+    iter_span.arg("applied", performed);
   }
 
   // Registry -> report snapshot (the Diagnostics compat shim). Must happen
@@ -1184,16 +880,6 @@ PowderReport PowderOptimizer::run() {
   report.diagnostics.apply_failures = static_cast<int>(m_apply_fail.delta());
   report.diagnostics.guard_rollbacks = static_cast<int>(m_guard_rb.delta());
   report.diagnostics.inline_proofs = m_inline.delta();
-  report.diagnostics.windowing.windows_built =
-      static_cast<long>(m_windows.delta());
-  report.diagnostics.windowing.window_gates_total =
-      static_cast<long>(m_window_gates.delta());
-  report.diagnostics.windowing.window_commits =
-      static_cast<long>(m_window_commits.delta());
-  report.diagnostics.windowing.boundary_conflicts =
-      static_cast<long>(m_window_conflicts.delta());
-  report.diagnostics.windowing.window_reruns =
-      static_cast<long>(m_window_reruns.delta());
 
   // ---- end-of-run guard: never emit a miscompiled netlist ---------------
   // Walk the journal back until the state passes every enabled check. With

@@ -16,10 +16,10 @@
 //     }
 //   } while (cand_substitutions != {});
 //
-// With threads > 1 simulation, candidate matching and the window fan-out
-// shard across a thread pool; the global loop's permissibility proofs run
-// inline on the single commit thread, which applies substitutions through
-// the journal (see DESIGN.md, "Parallel harvest/proof pipeline").
+// With threads > 1 simulation and candidate matching shard across a thread
+// pool; permissibility proofs run inline on the single commit thread, which
+// applies substitutions through the journal (see DESIGN.md, "Parallel
+// harvest/proof pipeline").
 
 #include <array>
 #include <chrono>
@@ -34,7 +34,6 @@
 #include "timing/incremental_timing.hpp"
 #include "timing/timing.hpp"
 #include "trace/options.hpp"
-#include "window/options.hpp"
 
 namespace powder {
 
@@ -100,12 +99,11 @@ struct PowderOptions {
 
   int max_outer_iterations = 64;
 
-  /// Total threads for the harvest and simulation shards (global mode,
-  /// whose proofs run inline on the commit thread) or the window fan-out
-  /// (windowed mode). 1 = the serial algorithm; 0 = one per hardware
-  /// thread. The final netlist is bit-identical at any thread count (with
-  /// unlimited proof pools and no deadline — finite budgets drain in a
-  /// timing-dependent order).
+  /// Total threads for the harvest and simulation shards; proofs run
+  /// inline on the commit thread. 1 = the serial algorithm; 0 = one per
+  /// hardware thread. The final netlist is bit-identical at any thread
+  /// count (with unlimited proof pools and no deadline — finite budgets
+  /// drain in a timing-dependent order).
   int threads = 1;
 
   /// Which power model the greedy loop optimizes (DESIGN.md §13). The
@@ -120,9 +118,6 @@ struct PowderOptions {
 
   /// Permissibility-proof policy: engine choice + per-call engine limits.
   ProofOptions proof;
-  /// Windowed partition/optimize/merge execution (DESIGN.md §11). The
-  /// default mode is the classic global loop.
-  WindowOptions window;
   CandidateOptions candidates;
   GuardOptions guard;
   BudgetOptions budget;
@@ -187,23 +182,6 @@ class PowderOptions::Builder {
   }
   Builder& threads(int n) { opts_.threads = n; return *this; }
   Builder& proof(ProofOptions p) { opts_.proof = std::move(p); return *this; }
-  Builder& window(WindowOptions w) { opts_.window = w; return *this; }
-  Builder& windowed(bool on) {
-    opts_.window.mode = on ? WindowMode::kWindowed : WindowMode::kGlobal;
-    return *this;
-  }
-  Builder& window_size(int gates) {
-    opts_.window.max_gates = gates;
-    return *this;
-  }
-  Builder& window_overlap(int gates) {
-    opts_.window.overlap = gates;
-    return *this;
-  }
-  Builder& window_order_seed(std::uint64_t seed) {
-    opts_.window.order_seed = seed;
-    return *this;
-  }
   Builder& deadline(double seconds) {
     opts_.budget.deadline_seconds = seconds;
     return *this;
@@ -315,7 +293,9 @@ inline PowderOptions::Builder PowderOptions::builder() { return Builder{}; }
 /// null when the observation falls in the +Inf catch-all) — strictly
 /// additive per key, but the histogram *object shape* is part of the
 /// wire contract for consumers that iterate its members, so the version
-/// records the change; nothing outside `metrics` moved.
+/// records the change; nothing outside `metrics` moved. Keys retired
+/// within version 5 stay in the document as literal 0 until the next bump
+/// (DESIGN.md §11.4).
 inline constexpr int kReportSchemaVersion = 5;
 
 struct ClassStats {
@@ -359,7 +339,7 @@ struct PowderReport {
     bool mem_limit_hit = false;   ///< RSS crossed session.mem_limit_bytes
 
     int threads_used = 1;    ///< resolved thread count of the run
-    long inline_proofs = 0;  ///< engine proofs: pre-pass, loop, windows
+    long inline_proofs = 0;  ///< engine proofs: pre-pass and loop
 
     // Incremental-core accounting (DESIGN.md §6).
     long deltas_published = 0;        ///< netlist deltas this run published
@@ -383,18 +363,6 @@ struct PowderReport {
     /// of the run (0 without a session): non-zero means span totals
     /// undercount.
     long trace_dropped = 0;
-
-    /// Windowed-mode accounting (DESIGN.md §11); all zero in global mode.
-    /// Versioned with the report schema: fields are only ever added within
-    /// a schema version, never removed or redefined.
-    struct Windowing {
-      long windows_built = 0;       ///< extractions, incl. conflict re-runs
-      long window_commits = 0;      ///< local commits merged into the parent
-      long boundary_conflicts = 0;  ///< windows skipped at merge (overlap)
-      long window_reruns = 0;       ///< serial re-optimizations after conflicts
-      long window_gates_total = 0;  ///< sum of extracted window gate counts
-    };
-    Windowing windowing;
 
     /// Per-class accept/reject economics of the generalized resubstitution
     /// framework, mirrored from the MetricsRegistry counters. Indexed by

@@ -1,8 +1,8 @@
 #pragma once
-// select_power_red_subst (paper §3.5), shared by the global greedy loop and
-// the window-local one: drop the candidates that went stale, rank the rest
-// by PG_A + PG_B (or by exact area gain), re-estimate PG_C for the
-// shortlist only, and pick the best total gain.
+// select_power_red_subst (paper §3.5), the greedy loop's selection step:
+// drop the candidates that went stale, rank the rest by PG_A + PG_B (or by
+// exact area gain), re-estimate PG_C for the shortlist only, and pick the
+// best total gain.
 //
 // Every quantity involved is a pure function of the netlist state, so each
 // candidate memoizes them under the Netlist::epoch() they were computed at

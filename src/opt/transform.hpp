@@ -22,10 +22,10 @@
 //                 signals merged before the greedy loop starts)
 //
 // Everything downstream of harvesting — the journal, the ATPG/SAT proof
-// dispatch, the windowed optimizer, the WAL codec, and the audit log —
-// consumes this IR: they iterate `num_divisors()`/`divisor(i)` and switch
-// on `rep.kind`, never on the class tag. The class tag survives only as
-// provenance for per-class economics (reports, metrics, audit records).
+// dispatch, the WAL codec, and the audit log — consumes this IR: they
+// iterate `num_divisors()`/`divisor(i)` and switch on `rep.kind`, never on
+// the class tag. The class tag survives only as provenance for per-class
+// economics (reports, metrics, audit records).
 
 #include <optional>
 

@@ -60,13 +60,12 @@ void PowerAttribution::end_run() {
   model_ = nullptr;
 }
 
-void PowerAttribution::record_commit(int cls, int window, double power_delta) {
-  ledger_.push_back(LedgerEntry{cls, window, power_delta});
+void PowerAttribution::record_commit(int cls, double power_delta) {
+  ledger_.push_back(LedgerEntry{cls, power_delta});
   class_gain_[cls] += power_delta;
   class_applied_[cls] += 1;
-  WindowAgg& w = by_window_[window];
-  w.commits += 1;
-  w.gain += power_delta;
+  ledger_commits_ += 1;
+  ledger_gain_ += power_delta;
   ++commits_recorded_;
 }
 
@@ -76,9 +75,8 @@ void PowerAttribution::record_rollback() {
   ledger_.pop_back();
   class_gain_[rec.cls] -= rec.power_delta;
   class_applied_[rec.cls] -= 1;
-  WindowAgg& w = by_window_[rec.window];
-  w.commits -= 1;
-  w.gain -= rec.power_delta;
+  ledger_commits_ -= 1;
+  ledger_gain_ -= rec.power_delta;
   ++rollbacks_recorded_;
 }
 
@@ -201,17 +199,13 @@ std::string PowerAttribution::to_json() const {
   }
   os << "}";
 
+  // Retired per-window view, kept for the document format: one entry for
+  // the whole ledger (window -1) once anything was recorded.
   os << ",\"by_window\":[";
-  {
-    bool first = true;
-    for (const auto& [window, agg] : by_window_) {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"window\":" << window << ",\"commits\":" << agg.commits
-         << ",\"gain\":";
-      append_number(os, agg.gain);
-      os << "}";
-    }
+  if (commits_recorded_ > 0) {
+    os << "{\"window\":-1,\"commits\":" << ledger_commits_ << ",\"gain\":";
+    append_number(os, ledger_gain_);
+    os << "}";
   }
   os << "]}";
   return os.str();

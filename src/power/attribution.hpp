@@ -1,7 +1,7 @@
 // Per-gate power attribution: the "where did the savings come from" plane.
 //
 // The optimizer reports *totals* (initial/final power, per-class deltas);
-// this subsystem keeps the per-gate, per-cell, per-window, per-class
+// this subsystem keeps the per-gate, per-cell, per-class
 // breakdown behind them. It is an opt-in sink wired through TraceOptions
 // like the audit log and metrics registry: a null pointer costs one branch
 // per probe site, so the default path stays inside the observability
@@ -73,13 +73,6 @@ class PowerAttribution final : public NetlistObserver {
     std::map<std::string, CellAgg> by_cell;
   };
 
-  /// Per-window aggregate of the applied-gain ledger (window -1 = global
-  /// loop and the funcred pre-pass).
-  struct WindowAgg {
-    long commits = 0;
-    double gain = 0.0;
-  };
-
   explicit PowerAttribution(int top_k = 16);
   ~PowerAttribution() override;
 
@@ -96,9 +89,9 @@ class PowerAttribution final : public NetlistObserver {
   /// final `total_power()` read.
   void end_run();
 
-  /// Ledger feed: called at every commit-log push with the same class tag,
-  /// window id (-1 = global), and power delta the optimizer records.
-  void record_commit(int cls, int window, double power_delta);
+  /// Ledger feed: called at every commit-log push with the same class tag
+  /// and power delta the optimizer records.
+  void record_commit(int cls, double power_delta);
 
   /// Ledger unwind: called at every end-of-run guard-walk pop (last
   /// recorded commit first), mirroring the optimizer's own `-=`.
@@ -122,7 +115,6 @@ class PowerAttribution final : public NetlistObserver {
  private:
   struct LedgerEntry {
     int cls = 0;
-    int window = -1;
     double power_delta = 0.0;
   };
 
@@ -140,7 +132,10 @@ class PowerAttribution final : public NetlistObserver {
   std::vector<LedgerEntry> ledger_;  ///< aligned with the commit log
   double class_gain_[kAttributionClasses] = {};
   long class_applied_[kAttributionClasses] = {};
-  std::map<int, WindowAgg> by_window_;
+  /// Running aggregate over every ledger entry, written as the document's
+  /// one `by_window` entry (window -1).
+  long ledger_commits_ = 0;
+  double ledger_gain_ = 0.0;
   long commits_recorded_ = 0;
   long rollbacks_recorded_ = 0;
   long long deltas_observed_ = 0;

@@ -2,9 +2,8 @@
 // Pluggable power models (DESIGN.md §13).
 //
 // The optimizer's economics — PG_A/PG_B preselection, the PG_C shortlist,
-// window boundary sampling, reported totals — are written against this
-// interface instead of the concrete zero-delay estimator. Two
-// implementations exist:
+// reported totals — are written against this interface instead of the
+// concrete zero-delay estimator. Two implementations exist:
 //
 //  * PowerEstimator (power.hpp): the paper's zero-delay model,
 //    E(s) = 2 p(s)(1-p(s)), incrementally maintained through the

@@ -97,13 +97,6 @@ std::uint64_t options_fingerprint(const PowderOptions& o) {
   h.i64(o.guard.final_equivalence_check ? 1 : 0);
   h.i64(o.proof.atpg.backtrack_limit);
   h.i64(o.proof.sat.conflict_budget);
-  // Window knobs steer which candidates are even considered (partition
-  // shape, merge order, re-run policy), so a resume must not change them.
-  h.u64(static_cast<std::uint64_t>(o.window.mode));
-  h.i64(o.window.max_gates);
-  h.i64(o.window.overlap);
-  h.u64(o.window.order_seed);
-  h.i64(o.window.rerun_limit);
   // The power model defines the objective landscape (activities, PG_C), so
   // a resume under a different model would replay foreign decisions.
   h.u64(static_cast<std::uint64_t>(o.power_model));
@@ -145,8 +138,7 @@ void SessionRecorder::open(const std::string& path, const Netlist& netlist,
 
 void SessionRecorder::record_commit(int outer, int performed,
                                     const CandidateSub& cand,
-                                    const AppliedSub& applied,
-                                    std::uint32_t window) {
+                                    const AppliedSub& applied) {
   if (!enabled()) return;
   std::string payload;
   try {
@@ -154,7 +146,6 @@ void SessionRecorder::record_commit(int outer, int performed,
     WalCommit commit;
     commit.outer = static_cast<std::uint32_t>(outer);
     commit.performed = static_cast<std::uint32_t>(performed);
-    commit.window = window;
     commit.cand = cand;
     commit.applied = applied;
     payload = encode_commit(commit);
@@ -182,7 +173,6 @@ void SessionRecorder::record_prepass(int round, int ordinal,
     WalCommit commit;
     commit.outer = static_cast<std::uint32_t>(round);
     commit.performed = static_cast<std::uint32_t>(ordinal);
-    commit.window = kGlobalWindow;
     commit.cand = cand;
     commit.applied = applied;
     payload = encode_commit(commit);
@@ -250,7 +240,6 @@ void SessionResume::load(const std::string& path, const Netlist& netlist,
         "' was recorded with different optimization options (seed, "
         "patterns, selection or proof knobs)");
   cursor_ = 0;
-  loaded_ = true;
 }
 
 }  // namespace powder

@@ -59,11 +59,8 @@ class SessionRecorder {
   const std::string& error() const { return error_; }
 
   /// Appends one commit frame (fsync'd). No-op when disabled; never throws.
-  /// `window` is the id of the window the commit was merged from, or
-  /// kGlobalWindow for the global optimizer loop.
   void record_commit(int outer, int performed, const CandidateSub& cand,
-                     const AppliedSub& applied,
-                     std::uint32_t window = kGlobalWindow);
+                     const AppliedSub& applied);
 
   /// Appends one functional-reduction pre-pass frame (fsync'd). Same
   /// degradation contract as record_commit; `round`/`ordinal` identify the
@@ -136,23 +133,16 @@ class SessionResume {
     return static_cast<long long>(contents_.prepass.size());
   }
 
-  /// Full recorded commit sequence, for window-scoped replay: the windowed
-  /// loop builds per-window oracle views from this while the merge path
-  /// still verifies against the global cursor above.
-  const std::vector<WalCommit>& commits() const { return contents_.commits; }
-
   long long replayed() const { return static_cast<long long>(cursor_); }
   long long total() const {
     return static_cast<long long>(contents_.commits.size());
   }
-  bool loaded() const { return loaded_; }
   WalReadStatus status() const { return contents_.status; }
 
  private:
   WalContents contents_;
   std::size_t cursor_ = 0;
   std::size_t prepass_cursor_ = 0;
-  bool loaded_ = false;
 };
 
 }  // namespace powder

@@ -34,15 +34,15 @@
 namespace powder {
 
 inline constexpr std::uint32_t kWalMagic = 0x50574652u;  // "PWFR"
-/// Version 2 added the per-commit window id (window-scoped runs record which
-/// window produced each commit so --resume can replay them window-by-window).
+/// Version 2 added the per-commit window id (WalCommit::window); every frame
+/// now carries kGlobalWindow there.
 /// Version 3 added the kCell replacement kind (ordered divisor set of a
 /// k-input gate) to the candidate codec and the kPrepass frame recording
 /// functional-reduction merges made before the greedy loop.
 inline constexpr std::uint32_t kWalVersion = 3;
 
-/// WalCommit::window value for commits made by the global (non-windowed)
-/// optimizer loop.
+/// The only WalCommit::window value the recorder writes; a resume rejects
+/// a commit frame carrying any other id as foreign input.
 inline constexpr std::uint32_t kGlobalWindow = 0xFFFFFFFFu;
 
 enum class WalFrameType : std::uint8_t {
@@ -68,7 +68,7 @@ struct WalHeader {
 struct WalCommit {
   std::uint32_t outer = 0;      ///< 1-based outer iteration of the commit
   std::uint32_t performed = 0;  ///< commit ordinal within that iteration
-  std::uint32_t window = kGlobalWindow;  ///< window id, kGlobalWindow if none
+  std::uint32_t window = kGlobalWindow;  ///< always kGlobalWindow
   CandidateSub cand;            ///< pg_* gains are not round-tripped
   AppliedSub applied;
 };

@@ -45,10 +45,11 @@ void AuditLog::write(const AuditRecord& r) {
   std::string line;
   line.reserve(256);
   char buf[96];
+  // "window" is retired (always -1) and kept for the line format.
   std::snprintf(buf, sizeof(buf),
-                "{\"seq\":%lld,\"iter\":%d,\"window\":%d,\"epoch\":%llu,"
+                "{\"seq\":%lld,\"iter\":%d,\"window\":-1,\"epoch\":%llu,"
                 "\"cls\":\"",
-                r.seq, r.iteration, r.window, r.epoch);
+                r.seq, r.iteration, r.epoch);
   line += buf;
   append_escaped(&line, r.cls);
   std::snprintf(buf, sizeof(buf), "\",\"target\":%lld", r.target);

@@ -7,10 +7,9 @@
 // per candidate class the way per-run totals never can.
 //
 // Writing happens on the optimizer's commit thread only (candidate
-// selection and proofs are single-threaded at any thread count; window-
-// local loops write nothing), so the log needs no
-// hot-path synchronization; a mutex still serializes writers defensively
-// so a misuse cannot interleave half-lines.
+// selection and proofs are single-threaded at any thread count), so the
+// log needs no hot-path synchronization; a mutex still serializes writers
+// defensively so a misuse cannot interleave half-lines.
 
 #include <atomic>
 #include <cstdint>
@@ -25,7 +24,6 @@ namespace powder {
 struct AuditRecord {
   long long seq = 0;           ///< 0-based record index within the run
   int iteration = 0;           ///< outer-loop iteration (1-based)
-  int window = -1;             ///< window id for windowed merges; -1 = global
   /// Netlist journal epoch at decision time: joins a decision line to the
   /// delta-bus generation (and WAL frames) it was taken against.
   unsigned long long epoch = 0;
@@ -45,9 +43,9 @@ struct AuditRecord {
   double pg_c = 0.0;
   bool pg_c_known = false;     ///< PG_C is only computed for the shortlist
   /// Permissibility proof, when one ran: engine "podem"/"sat"/"hybrid",
-  /// "replay" (WAL oracle on resume), "funcred" or "window" (proved by the
-  /// pre-pass / a window-local loop), "none" (degraded, verdict
-  /// "skipped"); verdict "untestable"/"test_found"/"aborted".
+  /// "replay" (WAL oracle on resume), "funcred" (proved by the pre-pass),
+  /// "none" (degraded, verdict "skipped"); verdict
+  /// "untestable"/"test_found"/"aborted".
   const char* proof_engine = nullptr;
   const char* proof_verdict = nullptr;
   double proof_us = -1.0;      ///< inline proof wall time; <0 = n/a
@@ -57,7 +55,7 @@ struct AuditRecord {
 };
 
 /// A run-level event line, distinct from per-candidate decision records:
-/// degradation-ladder transitions, checkpoint failures, window conflicts.
+/// degradation-ladder transitions, checkpoint failures.
 /// Events render as `{"event":...}` NDJSON lines interleaved with decision
 /// records but counted separately (records() stays a pure decision count).
 struct AuditEvent {

@@ -25,7 +25,7 @@ struct TraceOptions {
   MetricsRegistry* metrics = nullptr;
   /// NDJSON decision log: one record per candidate considered.
   AuditLog* audit = nullptr;
-  /// Live NDJSON event stream (heartbeats, phases, windows, commits).
+  /// Live NDJSON event stream (heartbeats, phases, commits).
   ProgressStream* progress = nullptr;
   /// Per-gate power heatmap + per-class applied-gain ledger.
   PowerAttribution* attribution = nullptr;

@@ -62,7 +62,7 @@ void ProgressStream::end_line(std::string* line) {
 
 void ProgressStream::run_start(std::string_view circuit, long gates,
                                int inputs, int outputs, int threads,
-                               bool windowed, const char* power_model) {
+                               const char* power_model) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string line;
   begin_line(&line, "run_start");
@@ -71,7 +71,7 @@ void ProgressStream::run_start(std::string_view circuit, long gates,
   append_long(&line, "inputs", inputs);
   append_long(&line, "outputs", outputs);
   append_long(&line, "threads", threads);
-  line += windowed ? ",\"windowed\":true" : ",\"windowed\":false";
+  line += ",\"windowed\":false";  // retired, kept for the line format
   append_string(&line, "power_model", power_model);
   end_line(&line);
 }
@@ -87,27 +87,14 @@ void ProgressStream::phase(int iteration, const char* name, long long count,
   end_line(&line);
 }
 
-void ProgressStream::window_event(int iteration, int window, const char* what,
-                                  long long gates, long long commits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string line;
-  begin_line(&line, "window");
-  append_long(&line, "iter", iteration);
-  append_long(&line, "window", window);
-  append_string(&line, "what", what);
-  if (gates >= 0) append_long(&line, "gates", gates);
-  if (commits >= 0) append_long(&line, "commits", commits);
-  end_line(&line);
-}
-
-void ProgressStream::commit(int iteration, const char* cls, int window,
-                            double gain, double power_after) {
+void ProgressStream::commit(int iteration, const char* cls, double gain,
+                            double power_after) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string line;
   begin_line(&line, "commit");
   append_long(&line, "iter", iteration);
   append_string(&line, "cls", cls);
-  append_long(&line, "window", window);
+  append_long(&line, "window", -1);  // retired, kept for the line format
   append_double(&line, "gain", gain);
   append_double(&line, "power", power_after);
   end_line(&line);
@@ -136,7 +123,7 @@ void ProgressStream::heartbeat(const Stats& stats) {
   append_long(&line, "applied", stats.applied);
   append_long(&line, "harvested", stats.harvested);
   append_long(&line, "proofs", stats.proofs);
-  // Rates over the window since the previous heartbeat (or run start).
+  // Rates over the interval since the previous heartbeat (or run start).
   const double dt = heartbeats_ == 0
                         ? std::chrono::duration<double>(now - start_).count()
                         : since;
@@ -256,7 +243,6 @@ ProgressValidation validate_progress_stream(std::string_view text) {
     if (ev == "run_end") saw_run_end = true;
     if (ev == "heartbeat") ++out.heartbeats;
     if (ev == "phase") ++out.phases;
-    if (ev == "window") ++out.windows;
     // Unknown event types are legal by the stability rules; count only.
   }
   if (!saw_run_start) {

@@ -11,12 +11,11 @@
 // `{"v":1,"seq":N,"t_ms":T}` with `seq` strictly increasing and `t_ms`
 // monotone (steady clock, milliseconds since stream creation):
 //
-//   run_start    circuit, gates, inputs, outputs, threads, windowed, model
+//   run_start    circuit, gates, inputs, outputs, threads, windowed
+//                (retired: always false), model
 //   phase        iter + phase name (funcred/harvest/proof/commit/
-//                window_partition/window_merge/final_guard), optional count
-//   window       iter, window id, what (extracted/merged/conflict/rerun),
-//                optional gates/commits counts
-//   commit       iter, cls, window (-1 = global), gain, power-after
+//                final_guard), optional count
+//   commit       iter, cls, window (retired: always -1), gain, power-after
 //   heartbeat    iter, power, applied, harvested, proofs, rates, ETA
 //   degradation  from, to, reason
 //   checkpoint   frames persisted so far
@@ -62,20 +61,15 @@ class ProgressStream {
   ProgressStream& operator=(const ProgressStream&) = delete;
 
   void run_start(std::string_view circuit, long gates, int inputs,
-                 int outputs, int threads, bool windowed,
-                 const char* power_model);
+                 int outputs, int threads, const char* power_model);
 
   /// Stage marker. `count` with its `count_key` is optional (pass -1 /
   /// nullptr to omit), e.g. phase(2, "proof", 91, "candidates").
   void phase(int iteration, const char* name, long long count = -1,
              const char* count_key = nullptr);
 
-  /// Window lifecycle event; `gates`/`commits` are optional (-1 omits).
-  void window_event(int iteration, int window, const char* what,
-                    long long gates = -1, long long commits = -1);
-
-  /// One accepted substitution. `window` is -1 for the global loop.
-  void commit(int iteration, const char* cls, int window, double gain,
+  /// One accepted substitution.
+  void commit(int iteration, const char* cls, double gain,
               double power_after);
 
   /// Rate-limited heartbeat; no-op unless the interval elapsed (or it is
@@ -117,7 +111,6 @@ struct ProgressValidation {
   long long lines = 0;
   long long heartbeats = 0;
   long long phases = 0;
-  long long windows = 0;
 };
 
 /// Validates a captured stream: every line parses, carries v/seq/t_ms/

@@ -410,136 +410,4 @@ bool validate_chrome_json(std::string_view json, std::size_t* num_events,
   return true;
 }
 
-bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
-                             std::string* error) {
-  struct Span {
-    double ts = 0.0;
-    double dur = 0.0;
-    double tid = 0.0;
-    bool has_window_arg = false;
-  };
-  std::vector<Span> windows;
-  std::vector<Span> iterations;
-
-  const std::string owned(json);
-  JsonCursor c{owned.data(), owned.data() + owned.size(), {}};
-  const auto done = [&](bool ok) {
-    if (!ok && error != nullptr) *error = c.error;
-    return ok;
-  };
-
-  // Same walk as validate_chrome_json, but collecting the complete ('X')
-  // "window" and "iteration" spans instead of only schema-checking.
-  if (!c.consume('{')) return done(c.fail("top level is not an object"));
-  c.skip_ws();
-  if (!c.consume('}')) {
-    while (true) {
-      std::string key;
-      if (!parse_string(&c, &key)) return done(false);
-      if (!c.consume(':')) return done(c.fail("expected ':'"));
-      if (key == "traceEvents") {
-        if (!c.consume('[')) return done(c.fail("traceEvents not an array"));
-        c.skip_ws();
-        if (!c.consume(']')) {
-          while (true) {
-            if (!c.consume('{')) return done(c.fail("event not an object"));
-            std::string name, ph;
-            Span s;
-            c.skip_ws();
-            if (!c.consume('}')) {
-              while (true) {
-                std::string ekey;
-                if (!parse_string(&c, &ekey)) return done(false);
-                if (!c.consume(':')) return done(c.fail("expected ':'"));
-                if (ekey == "name") {
-                  if (!parse_string(&c, &name)) return done(false);
-                } else if (ekey == "ph") {
-                  if (!parse_string(&c, &ph)) return done(false);
-                } else if (ekey == "ts") {
-                  if (!parse_number(&c, &s.ts)) return done(false);
-                } else if (ekey == "dur") {
-                  if (!parse_number(&c, &s.dur)) return done(false);
-                } else if (ekey == "tid") {
-                  if (!parse_number(&c, &s.tid)) return done(false);
-                } else if (ekey == "args") {
-                  c.skip_ws();
-                  if (!c.consume('{')) return done(c.fail("args not object"));
-                  c.skip_ws();
-                  if (!c.consume('}')) {
-                    while (true) {
-                      std::string akey;
-                      if (!parse_string(&c, &akey)) return done(false);
-                      if (!c.consume(':'))
-                        return done(c.fail("expected ':'"));
-                      if (akey == "window") {
-                        if (!parse_number(&c, nullptr)) return done(false);
-                        s.has_window_arg = true;
-                      } else {
-                        if (!skip_value(&c)) return done(false);
-                      }
-                      if (c.consume('}')) break;
-                      if (!c.consume(','))
-                        return done(c.fail("expected ',' in args"));
-                    }
-                  }
-                } else {
-                  if (!skip_value(&c)) return done(false);
-                }
-                if (c.consume('}')) break;
-                if (!c.consume(',')) return done(c.fail("expected ','"));
-              }
-            }
-            if (ph == "X") {
-              if (name == "window") windows.push_back(s);
-              if (name == "iteration") iterations.push_back(s);
-            }
-            if (c.consume(']')) break;
-            if (!c.consume(',')) return done(c.fail("expected ','"));
-          }
-        }
-      } else {
-        if (!skip_value(&c)) return done(false);
-      }
-      if (c.consume('}')) break;
-      if (!c.consume(',')) return done(c.fail("expected ',' at top level"));
-    }
-  }
-
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    const Span& w = windows[i];
-    if (!w.has_window_arg)
-      return done(c.fail("window span " + std::to_string(i) +
-                         " has no window arg"));
-    bool contained = false;
-    for (const Span& it : iterations)
-      if (w.ts >= it.ts && w.ts + w.dur <= it.ts + it.dur) {
-        contained = true;
-        break;
-      }
-    if (!contained)
-      return done(c.fail("window span " + std::to_string(i) +
-                         " not nested in any iteration span"));
-  }
-  // Per thread, window spans must be disjoint or fully nested: the fan-out
-  // runs one window at a time per pool thread, so a partial overlap means
-  // interleaved (miscounted) spans.
-  std::vector<const Span*> by_time;
-  for (const Span& w : windows) by_time.push_back(&w);
-  std::sort(by_time.begin(), by_time.end(),
-            [](const Span* a, const Span* b) { return a->ts < b->ts; });
-  for (std::size_t i = 0; i < by_time.size(); ++i)
-    for (std::size_t j = i + 1; j < by_time.size(); ++j) {
-      const Span& a = *by_time[i];
-      const Span& b = *by_time[j];
-      if (a.tid != b.tid) continue;
-      if (b.ts >= a.ts + a.dur) break;  // disjoint (and all later j too)
-      if (b.ts + b.dur > a.ts + a.dur)
-        return done(c.fail("window spans on tid " +
-                           std::to_string(static_cast<long long>(a.tid)) +
-                           " partially overlap"));
-    }
-  if (num_windows != nullptr) *num_windows = windows.size();
-  return true;
-}
-
 }  // namespace powder

@@ -166,14 +166,4 @@ class TraceSpan {
 bool validate_chrome_json(std::string_view json, std::size_t* num_events,
                           std::string* error);
 
-/// Windowed-mode structural validation on top of validate_chrome_json:
-/// every complete "window" span must carry a numeric `window` arg, nest
-/// temporally inside an "iteration" span, and window spans sharing a tid
-/// must be disjoint or fully nested (never partially overlapping). Fills
-/// `*num_windows` with the window-span count (0 for global-mode traces,
-/// which pass trivially). Intended for complete traces: a session that
-/// dropped events on a full ring may fail containment spuriously.
-bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
-                             std::string* error);
-
 }  // namespace powder

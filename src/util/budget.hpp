@@ -9,10 +9,11 @@
 // pool is dry or the deadline has passed. Exhaustion is therefore always a
 // clean, reported degradation — never a hang and never a hard error.
 //
-// The pools are atomic: windowed mode proves candidates on the window
-// fan-out's pool threads against the same budget, and a CAS loop in
-// `consume` guarantees the pool is debited exactly once per unit of effort
-// and never goes negative — concurrent threads cannot double-spend.
+// The optimizer touches its budget from the commit thread only (every proof
+// runs inline there), so the pools see no contention in a run. They stay
+// atomic so that a budget shared by concurrent callers remains sound: a CAS
+// loop in `consume` debits the pool exactly once per unit of effort and
+// never lets it go negative, so threads cannot double-spend.
 
 #include <atomic>
 #include <chrono>

@@ -51,10 +51,10 @@ class FaultInjector {
   static void install(FaultInjector* injector);
 
  private:
-  // Occurrence counters are atomic: proof-engine sites (kAtpgProof,
-  // kSatProof, kProofTransient) fire concurrently from the window fan-out's
-  // pool threads. Arming happens while the optimizer is quiescent, so
-  // skip/count stay plain.
+  // Occurrence counters are atomic: the injector is process-wide, and while
+  // one optimizer reaches every site from its commit thread, optimizations
+  // running on separate threads share the same counters. Arming happens
+  // while the optimizer is quiescent, so skip/count stay plain.
   struct SiteState {
     std::atomic<bool> armed{false};
     int skip = 0;

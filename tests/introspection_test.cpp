@@ -2,7 +2,8 @@
 // exact reconciliation invariants, the live progress stream's wire
 // contract and deterministic event skeleton, the `powder diff` verdict
 // engine, the BENCH trajectory fold, the audit log's window/epoch fields,
-// and the purity guarantee — attaching every sink must not change one bit
+// the retired fields every document still carries, and the purity
+// guarantee — attaching every sink must not change one bit
 // of the optimization result.
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,37 +143,6 @@ TEST(Attribution, ReconcilesBitwiseTimedModel) {
   EXPECT_EQ(serial.to_json(), threaded.to_json());
 }
 
-TEST(Attribution, WindowedRunsLedgerPerWindow) {
-  const Netlist input = make_input("duke2");
-  PowerAttribution attr;
-  const RunResult rr = run(input, base_options()
-                                      .windowed(true)
-                                      .window_size(40)
-                                      .window_overlap(8)
-                                      .attribution(&attr));
-  ASSERT_GT(rr.report.diagnostics.windowing.windows_built, 1);
-  EXPECT_GT(rr.report.substitutions_applied, 0);
-  expect_reconciled(attr, rr.report);
-
-  // The by_window ledger must name real window ids (>= 0) and its commit
-  // counts must sum to the total recorded.
-  std::string error;
-  const auto doc = json_parse(attr.to_json(), &error);
-  ASSERT_NE(doc, nullptr) << error;
-  const JsonValue* by_window = doc->find_array("by_window");
-  ASSERT_NE(by_window, nullptr);
-  long long commits = 0;
-  bool saw_real_window = false;
-  for (const JsonValue& w : by_window->items()) {
-    const JsonValue* id = w.find_number("window");
-    ASSERT_NE(id, nullptr);
-    if (id->as_number() >= 0) saw_real_window = true;
-    commits += static_cast<long long>(w.find_number("commits")->as_number());
-  }
-  EXPECT_TRUE(saw_real_window);
-  EXPECT_EQ(commits, attr.commits_recorded());
-}
-
 TEST(Attribution, ValidatorRejectsTamperedDocument) {
   const Netlist input = make_input();
   PowerAttribution attr;
@@ -218,40 +187,6 @@ TEST(Progress, StreamSatisfiesContractAndCoversPhases) {
         "\"phase\":\"commit\"", "\"event\":\"run_start\"",
         "\"event\":\"commit\"", "\"event\":\"run_end\""})
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
-}
-
-TEST(Progress, WindowedRunEmitsEveryWindow) {
-  const Netlist input = make_input("duke2");
-  std::ostringstream os;
-  ProgressStream prog(&os);
-  const RunResult rr = run(input, base_options()
-                                      .windowed(true)
-                                      .window_size(40)
-                                      .window_overlap(8)
-                                      .progress(&prog));
-  const long windows_built = rr.report.diagnostics.windowing.windows_built;
-  ASSERT_GT(windows_built, 1);
-
-  const std::string text = os.str();
-  const ProgressValidation v = validate_progress_stream(text);
-  ASSERT_TRUE(v.ok) << v.error;
-  EXPECT_GT(v.windows, 0);
-
-  // Every built window must appear in the stream's window events.
-  std::set<long long> seen;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::string error;
-    const auto doc = json_parse(line, &error);
-    ASSERT_NE(doc, nullptr) << error;
-    const JsonValue* event = doc->find_string("event");
-    ASSERT_NE(event, nullptr);
-    if (event->as_string() != "window") continue;
-    seen.insert(
-        static_cast<long long>(doc->find_number("window")->as_number()));
-  }
-  EXPECT_EQ(static_cast<long>(seen.size()), windows_built);
 }
 
 /// Strips the stream down to its deterministic skeleton: heartbeats out
@@ -421,40 +356,112 @@ TEST(Audit, EveryLineCarriesWindowAndEpoch) {
   const Netlist input = make_input("duke2");
   std::ostringstream os;
   AuditLog audit(&os);
-  const RunResult rr = run(input, base_options()
-                                      .windowed(true)
-                                      .window_size(40)
-                                      .window_overlap(8)
-                                      .audit(&audit));
+  const RunResult rr = run(input, base_options().audit(&audit));
   EXPECT_GT(rr.report.substitutions_applied, 0);
 
   std::istringstream lines(os.str());
   std::string line;
   long long records = 0;
-  bool saw_window = false;
   unsigned long long last_epoch = 0;
   while (std::getline(lines, line)) {
     std::string error;
     const auto doc = json_parse(line, &error);
     ASSERT_NE(doc, nullptr) << error << "\nline: " << line;
     // Typed events (degradation etc.) have their own shape; decision
-    // records must all carry the window id and journal epoch.
+    // records must all carry the retired window id (-1) and the journal
+    // epoch.
     if (doc->find_string("decision") == nullptr) continue;
     ++records;
     const JsonValue* window = doc->find_number("window");
     const JsonValue* epoch = doc->find_number("epoch");
     ASSERT_NE(window, nullptr) << line;
     ASSERT_NE(epoch, nullptr) << line;
-    if (window->as_number() >= 0) saw_window = true;
-    // Serial run: the log is chronological and the netlist epoch only
-    // ever advances.
+    EXPECT_EQ(window->as_number(), -1.0) << line;
+    // The log is chronological and the netlist epoch only ever advances.
     const auto e = static_cast<unsigned long long>(epoch->as_number());
     EXPECT_GE(e, last_epoch);
     last_epoch = e;
   }
+  EXPECT_GT(records, 0);
   EXPECT_EQ(records, audit.records());
-  EXPECT_TRUE(saw_window) << "windowed run produced no window-scoped "
-                             "audit records";
+}
+
+// ---------------------------------------------------------------------------
+// Retired fields: still written, with their global values
+
+// Report schema 5 retired ten diagnostics keys (the speculative proof
+// pipeline's five and diagnostics.windowing's five). They stay in the
+// document as literal 0 until the next schema bump (DESIGN.md §11.4).
+TEST(RetiredFields, ReportCarriesTheTenRetiredKeysAsLiteralZero) {
+  const RunResult rr = run(make_input("duke2"), base_options());
+  ASSERT_GT(rr.report.substitutions_applied, 0);
+  const std::string text = rr.report.to_json();
+  std::string error;
+  const auto doc = json_parse(text, &error);
+  ASSERT_NE(doc, nullptr) << error;
+  ASSERT_EQ(doc->find_number("schema_version")->as_number(), 5.0);
+  const JsonValue* diag = doc->find_object("diagnostics");
+  ASSERT_NE(diag, nullptr);
+  const JsonValue* windowing = diag->find_object("windowing");
+  ASSERT_NE(windowing, nullptr);
+  auto expect_literal_zero = [&](const JsonValue* obj, const char* key) {
+    const JsonValue* v = obj->find_number(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(v->as_number(), 0.0) << key;
+    const std::string literal = "\"" + std::string(key) + "\":0";
+    const std::size_t at = text.find(literal);
+    ASSERT_NE(at, std::string::npos) << key;
+    const char next = text[at + literal.size()];
+    EXPECT_TRUE(next == ',' || next == '}') << key;
+  };
+  for (const char* key : {"retries", "watchdog_requeues", "proof_jobs_enqueued",
+                          "speculative_proof_hits", "stale_proofs_dropped"})
+    expect_literal_zero(diag, key);
+  for (const char* key : {"windows_built", "window_commits",
+                          "boundary_conflicts", "window_reruns",
+                          "window_gates_total"})
+    expect_literal_zero(windowing, key);
+}
+
+// The progress stream's `windowed`/`window` and attribution's `by_window`
+// keep their keys, with the values of the one global loop.
+TEST(RetiredFields, ProgressAndAttributionWriteTheGlobalValues) {
+  std::ostringstream os;
+  ProgressStream prog(&os);
+  PowerAttribution attr;
+  const RunResult rr = run(make_input("duke2"),
+                           base_options().progress(&prog).attribution(&attr));
+  ASSERT_GT(rr.report.substitutions_applied, 0);
+
+  std::istringstream lines(os.str());
+  std::string line;
+  long long commits = 0;
+  while (std::getline(lines, line)) {
+    std::string error;
+    const auto doc = json_parse(line, &error);
+    ASSERT_NE(doc, nullptr) << error;
+    const std::string event = doc->find_string("event")->as_string();
+    if (event == "run_start") {
+      const JsonValue* windowed = doc->find("windowed");
+      ASSERT_NE(windowed, nullptr);
+      EXPECT_NE(line.find("\"windowed\":false"), std::string::npos);
+    } else if (event == "commit") {
+      ++commits;
+      EXPECT_EQ(doc->find_number("window")->as_number(), -1.0) << line;
+    }
+  }
+  EXPECT_EQ(commits, attr.commits_recorded());
+
+  std::string error;
+  const auto doc = json_parse(attr.to_json(), &error);
+  ASSERT_NE(doc, nullptr) << error;
+  const JsonValue* by_window = doc->find_array("by_window");
+  ASSERT_NE(by_window, nullptr);
+  ASSERT_EQ(by_window->items().size(), 1u);
+  const JsonValue& global = by_window->items()[0];
+  EXPECT_EQ(global.find_number("window")->as_number(), -1.0);
+  EXPECT_EQ(static_cast<long>(global.find_number("commits")->as_number()),
+            attr.commits_recorded() - attr.rollbacks_recorded());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 // Tests for the netlist data structure: construction, rewiring primitives,
-// dead-logic sweeping, MFFC, and the consistency checker.
+// dead-logic sweeping, MFFC, the consistency checker, and shared library
+// ownership (a helper-built netlist must keep its CellLibrary alive).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
+#include "benchgen/benchmarks.hpp"
+#include "mapper/mapper.hpp"
 #include "netlist/netlist.hpp"
+#include "powder.hpp"
 #include "util/check.hpp"
 
 namespace powder {
@@ -271,6 +276,30 @@ TEST_F(NetlistTest, GenerationBumpsOnMutation) {
 TEST_F(NetlistTest, ArityMismatchThrows) {
   const GateId a = nl_.add_input("a");
   EXPECT_THROW(nl_.add_gate(cell("and2"), {a}), CheckError);
+}
+
+TEST(LibraryOwnership, HelperBuiltNetlistKeepsLibraryAlive) {
+  // Regression for the dangling-CellLibrary footgun: the library handle
+  // created inside the helper dies with the helper's scope; the netlist
+  // (and copies of it) must keep the cells reachable on their own.
+  std::optional<Netlist> nl;
+  {
+    const auto lib = CellLibrary::standard_shared();
+    Netlist built = map_aig(make_benchmark("comp"), *lib);
+    built.adopt_library(lib);
+    nl = std::move(built);
+  }
+  ASSERT_NE(nl->library_owner(), nullptr);
+  EXPECT_GT(nl->total_area(), 0.0);
+
+  Netlist copy = *nl;  // ownership travels with copies
+  nl.reset();
+  ASSERT_NE(copy.library_owner(), nullptr);
+  const PowderReport r = optimize(
+      copy,
+      PowderOptions::builder().patterns(256).repeat(2).max_outer_iterations(1)
+          .build());
+  EXPECT_FALSE(r.diagnostics.guard_failed);
 }
 
 }  // namespace

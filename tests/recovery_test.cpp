@@ -279,6 +279,57 @@ TEST(CheckpointResume, ChangedOptionsAreRejectedAsInputError) {
   EXPECT_NE(options_fingerprint(a), options_fingerprint(c));
 }
 
+// A WAL is input from outside the program. Every recorder writes the global
+// window id, so a commit frame naming another window is foreign: resume
+// rejects it as a typed input error, even under a matching header.
+TEST(CheckpointResume, ForeignWindowIdIsRejectedAsInputError) {
+  const Netlist input = make_input();
+  const std::string wal = temp_path("foreign_window");
+  const RunResult recorded = run(input, base_options().checkpoint_out(wal));
+  const WalContents contents = read_wal(wal);
+  ASSERT_TRUE(contents.has_header);
+  ASSERT_TRUE(contents.prepass.empty());
+  ASSERT_FALSE(contents.commits.empty());
+
+  // Re-writes the log frame by frame, with `window` on the first commit.
+  auto rewrite = [&](std::uint32_t window) {
+    WalWriter w;
+    std::string err;
+    ASSERT_TRUE(w.open(wal, &err)) << err;
+    ASSERT_TRUE(w.append(WalFrameType::kHeader,
+                         encode_header(contents.header), &err))
+        << err;
+    for (std::size_t i = 0; i < contents.commits.size(); ++i) {
+      WalCommit c = contents.commits[i];
+      EXPECT_EQ(c.window, kGlobalWindow);
+      if (i == 0) c.window = window;
+      ASSERT_TRUE(w.append(WalFrameType::kCommit, encode_commit(c), &err))
+          << err;
+    }
+    ASSERT_TRUE(w.append(WalFrameType::kEnd,
+                         encode_end(contents.commits.size()), &err))
+        << err;
+  };
+
+  // The faithful copy resumes to the recorded result...
+  rewrite(kGlobalWindow);
+  const RunResult resumed = run(input, base_options().resume_from(wal));
+  EXPECT_EQ(resumed.blif, recorded.blif);
+
+  // ...and the same log with window 3 on its first commit is rejected.
+  rewrite(3);
+  try {
+    Netlist nl = input;
+    (void)optimize(nl, base_options().resume_from(wal).build());
+    FAIL() << "expected Error(kInput)";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kInput);
+    EXPECT_NE(std::string(e.what()).find("resume diverged"), std::string::npos)
+        << e.what();
+  }
+  fs::remove(wal);
+}
+
 TEST(CheckpointResume, CorruptWalIsRejectedAsIoError) {
   const Netlist input = make_input();
   const std::string wal = temp_path("corrupt");
@@ -495,35 +546,22 @@ TEST(ProofFailure, TransientThrowsRejectOnlyTheirCandidates) {
 }
 
 // Every proof throws: each candidate is rejected soundly, nothing is
-// applied, and the netlist comes back untouched.
+// applied, and the netlist comes back untouched — also with the harvest
+// and simulation sharded over four threads.
 TEST(ProofFailure, ThrowingEngineRejectsSoundly) {
   const Netlist input = make_input("bw");
-  ScopedFaultInjector fi;
-  fi->arm(FaultInjector::Site::kProofTransient);  // every proof, forever
-  Netlist nl = input;
-  const PowderReport r = optimize(nl, base_options().build());
-  fi->disarm(FaultInjector::Site::kProofTransient);
-  EXPECT_EQ(r.substitutions_applied, 0);
-  EXPECT_EQ(write_blif(nl), write_blif(input));
-}
-
-// The window-local loops run the same proof function on pool threads, so a
-// throwing engine rejects soundly there too.
-TEST(ProofFailure, ThrowingEngineRejectsSoundlyWindowed) {
-  const Netlist input = make_input();
-  ScopedFaultInjector fi;
-  fi->arm(FaultInjector::Site::kProofTransient);
-  Netlist nl = input;
-  const PowderReport r = optimize(nl, base_options()
-                                          .windowed(true)
-                                          .window_size(40)
-                                          .window_overlap(8)
-                                          .threads(4)
-                                          .build());
-  EXPECT_GT(fi->fired(FaultInjector::Site::kProofTransient), 0);
-  fi->disarm(FaultInjector::Site::kProofTransient);
-  EXPECT_EQ(r.substitutions_applied, 0);
-  EXPECT_EQ(write_blif(nl), write_blif(input));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ScopedFaultInjector fi;
+    fi->arm(FaultInjector::Site::kProofTransient);  // every proof, forever
+    Netlist nl = input;
+    const PowderReport r =
+        optimize(nl, base_options().threads(threads).build());
+    EXPECT_GT(fi->fired(FaultInjector::Site::kProofTransient), 0);
+    fi->disarm(FaultInjector::Site::kProofTransient);
+    EXPECT_EQ(r.substitutions_applied, 0);
+    EXPECT_EQ(write_blif(nl), write_blif(input));
+  }
 }
 
 // --- fingerprints --------------------------------------------------------

@@ -2,8 +2,7 @@
 // reduction pre-pass preserves circuit function, converges (a second pass
 // has nothing left to merge), and its commits round-trip through the WAL's
 // kPrepass frames; k-input resubstitution stays bit-identical across thread
-// counts (global and windowed) and its commits roll back exactly through
-// the journal.
+// counts and its commits roll back exactly through the journal.
 
 #include <unistd.h>
 
@@ -214,27 +213,6 @@ TEST(ResubDeterminism, GlobalThreadsOneAndEightBitIdentical) {
   const RunResult parallel = run(input, opts().threads(8));
   expect_same_outcome(parallel, serial);
   ASSERT_GT(serial.report.substitutions_applied, 0);
-}
-
-TEST(ResubDeterminism, WindowedThreadsOneAndEightBitIdentical) {
-  const Netlist input = make_input();
-  const auto opts = [] {
-    return base_options()
-        .funcred(true)
-        .max_divisors(3)
-        .windowed(true)
-        .window_size(64)
-        .window_overlap(8);
-  };
-  const RunResult serial = run(input, opts().threads(1));
-  const RunResult parallel = run(input, opts().threads(8));
-  expect_same_outcome(parallel, serial);
-
-  // Windowed + funcred interaction: the pre-pass runs globally before
-  // partitioning and the combined result must still be the input function.
-  Netlist nl = input;
-  (void)optimize(nl, opts().threads(1).build());
-  EXPECT_TRUE(functionally_equivalent(input, nl));
 }
 
 // --- WAL round-trip with prepass frames -----------------------------------

@@ -4,7 +4,7 @@
 //   powder stats    <in.blif> [options]                 report metrics
 //   powder gen      <circuit> -o <out.blif> [options]   emit a benchmark
 //                   (<circuit> may be scale<N> for the synthetic N-gate
-//                    windowed-mode workload, e.g. scale100000)
+//                    scaling workload, e.g. scale100000)
 //   powder check    <a.blif> <b.blif> [options]         equivalence check
 //   powder cleanup  <in.blif> -o <out.blif> [options]   redundancy removal
 //   powder diff     <base.json> <cand.json> [options]   compare two
@@ -32,16 +32,8 @@
 //   --redundancy            precede with redundancy removal
 //   --deadline <seconds>    wall-clock budget; the run stops cleanly with
 //                           a partial result when it expires
-//   --threads <n>           harvest/simulation shards or window fan-out
-//                           (default 1; 0 = one per hardware thread)
-//   --windowed              partition the netlist into overlapping windows
-//                           and optimize them independently (DESIGN.md §11;
-//                           the scalable mode for 10^5+ gate netlists)
-//   --window-size <n>       gates per window (default 512)
-//   --window-overlap <n>    gates shared between neighbouring windows
-//                           (default 64)
-//   --window-order-seed <n> shuffle seed for the merge order (0 = natural
-//                           topological order)
+//   --threads <n>           harvest/simulation shards (default 1; 0 = one
+//                           per hardware thread)
 //   --report-json <path>    write the full report (incl. diagnostics) as JSON
 //   --paranoid              netlist invariant checks after every commit and
 //                           an end-of-run BDD equivalence guard
@@ -134,12 +126,8 @@ struct Args {
   bool redundancy = false;
   double deadline = -1.0;
   int threads = 1;
-  bool windowed = false;
   bool funcred = false;
   int max_divisors = -1;  ///< -1 = keep the default (pair classes)
-  int window_size = 512;
-  int window_overlap = 64;
-  std::uint64_t window_order_seed = 0;
   std::string report_json_path;
   std::string trace_out_path;
   std::string metrics_out_path;
@@ -205,8 +193,6 @@ void usage() {
       "[--resize] [--redundancy]\n"
       "               [--deadline SECONDS] [--threads N] "
       "[--report-json FILE] [--paranoid]\n"
-      "               [--windowed] [--window-size N] [--window-overlap N] "
-      "[--window-order-seed N]\n"
       "               [--funcred] [--max-divisors K]\n"
       "               [--trace-out FILE] [--metrics-out FILE] "
       "[--audit-out FILE] [--quiet]\n"
@@ -311,26 +297,12 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const char* v = next();
       if (!v) return std::nullopt;
       a.threads = std::atoi(v);
-    } else if (arg == "--windowed") {
-      a.windowed = true;
     } else if (arg == "--funcred") {
       a.funcred = true;
     } else if (arg == "--max-divisors") {
       const char* v = next();
       if (!v) return std::nullopt;
       a.max_divisors = std::atoi(v);
-    } else if (arg == "--window-size") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.window_size = std::atoi(v);
-    } else if (arg == "--window-overlap") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.window_overlap = std::atoi(v);
-    } else if (arg == "--window-order-seed") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.window_order_seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--report-json") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -523,10 +495,6 @@ int cmd_optimize(const Args& a) {
                      .delay_limit_factor(a.delay_limit)
                      .deadline(a.deadline)
                      .threads(a.threads)
-                     .windowed(a.windowed)
-                     .window_size(a.window_size)
-                     .window_overlap(a.window_overlap)
-                     .window_order_seed(a.window_order_seed)
                      .funcred(a.funcred)
                      .check_invariants(a.paranoid)
                      .final_equivalence_check(a.paranoid)
@@ -546,11 +514,6 @@ int cmd_optimize(const Args& a) {
     progress("powder: resuming from %s\n", a.resume_path.c_str());
   const PowderReport r = optimize(nl, opt);
   const PowderReport::Diagnostics& d = r.diagnostics;
-  if (a.windowed)
-    progress("powder: %ld window(s), %ld window commit(s), "
-             "%ld boundary conflict(s), %ld rerun(s)\n",
-             d.windowing.windows_built, d.windowing.window_commits,
-             d.windowing.boundary_conflicts, d.windowing.window_reruns);
   if (a.power_model == PowerModelKind::kTimed)
     progress("powder: timed power model: %ld full estimate(s), "
              "%ld cone refresh(es) over %ld gate(s) with %ld fallback "
@@ -740,7 +703,7 @@ int cmd_stats(const Args& a) {
 }
 
 // "scaleN" names (e.g. scale100000) generate the synthetic N-gate
-// netlist used by the windowed-mode scaling bench; returns -1 otherwise.
+// netlist used by the scaling bench; returns -1 otherwise.
 int parse_scale_gates(const std::string& name) {
   if (name.rfind("scale", 0) != 0 || name.size() <= 5) return -1;
   int gates = 0;

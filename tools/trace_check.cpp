@@ -11,9 +11,6 @@
 // Exit 0 with an "ok: ..." summary when the document is structurally
 // valid; exit 1 with the first structural error otherwise.
 //
-// Trace mode additionally checks windowed-run span structure: every
-// "window" span must carry its window id and nest inside an "iteration"
-// span, and window spans on one thread may not partially overlap.
 // Progress mode checks the NDJSON event-stream contract (schema_version,
 // contiguous seq, monotone t_ms, run_start first / run_end last, at least
 // one heartbeat). Attribution mode checks the schema and the exact
@@ -55,16 +52,7 @@ int check_trace(const char* path) {
     std::fprintf(stderr, "trace_check: %s: %s\n", path, error.c_str());
     return 1;
   }
-  std::size_t num_windows = 0;
-  if (!powder::validate_window_nesting(json, &num_windows, &error)) {
-    std::fprintf(stderr, "trace_check: %s: %s\n", path, error.c_str());
-    return 1;
-  }
-  if (num_windows > 0)
-    std::printf("ok: %zu events, %zu window spans\n", num_events,
-                num_windows);
-  else
-    std::printf("ok: %zu events\n", num_events);
+  std::printf("ok: %zu events\n", num_events);
   return 0;
 }
 
@@ -78,9 +66,8 @@ int check_progress(const char* path) {
     std::fprintf(stderr, "trace_check: %s: %s\n", path, v.error.c_str());
     return 1;
   }
-  std::printf("ok: %lld events, %lld heartbeats, %lld phases, "
-              "%lld window events\n",
-              v.lines, v.heartbeats, v.phases, v.windows);
+  std::printf("ok: %lld events, %lld heartbeats, %lld phases\n", v.lines,
+              v.heartbeats, v.phases);
   return 0;
 }
 
