@@ -577,6 +577,9 @@ const std::vector<GateId>& Netlist::topo_order() const {
   std::lock_guard<std::mutex> lock(topo_mutex_);
   if (topo_dirty_) {
     topo_cache_ = compute_topo();
+    topo_pos_.resize(kind_.size());
+    for (std::size_t i = 0; i < topo_cache_.size(); ++i)
+      topo_pos_[topo_cache_[i]] = static_cast<std::uint32_t>(i);
     topo_dirty_ = false;
   }
   return topo_cache_;
@@ -584,6 +587,22 @@ const std::vector<GateId>& Netlist::topo_order() const {
 
 bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {
   if (ancestor == descendant) return false;
+  // Every gate on a path to `descendant` precedes it in any topological
+  // order, so while the cached one is current (between mutations) the walk
+  // skips the gates placed after it — and needs no walk at all when the
+  // ancestor is one of them. Mid-edit the cache is stale and the walk is
+  // unbounded.
+  constexpr std::uint32_t kUnbounded = std::numeric_limits<std::uint32_t>::max();
+  std::uint32_t limit = kUnbounded;
+  {
+    // Only a mutation, on this thread, can make the cache stale again, so
+    // the positions stay valid for the walk below once checked here.
+    std::lock_guard<std::mutex> lock(topo_mutex_);
+    if (!topo_dirty_ && alive_[ancestor] != 0 && alive_[descendant] != 0) {
+      limit = topo_pos_[descendant];
+      if (topo_pos_[ancestor] > limit) return false;
+    }
+  }
   if (tfo_stamp_.size() < kind_.size()) tfo_stamp_.resize(kind_.size(), 0);
   if (tfo_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
     std::fill(tfo_stamp_.begin(), tfo_stamp_.end(), 0);
@@ -598,7 +617,8 @@ bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {
     tfo_stack_.pop_back();
     for (const FanoutRef& br : fanouts(g)) {
       if (br.gate == descendant) return true;
-      if (tfo_stamp_[br.gate] != seen) {
+      if (tfo_stamp_[br.gate] != seen &&
+          (limit == kUnbounded || topo_pos_[br.gate] < limit)) {
         tfo_stamp_[br.gate] = seen;
         tfo_stack_.push_back(br.gate);
       }

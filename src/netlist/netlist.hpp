@@ -293,7 +293,8 @@ class Netlist {
   const std::vector<GateId>& topo_order() const;
 
   /// True if `descendant` is reachable from `ancestor` (strictly; a gate is
-  /// not its own transitive fanout).
+  /// not its own transitive fanout). While the cached topological order is
+  /// current the walk visits only gates placed before `descendant` in it.
   bool in_tfo(GateId ancestor, GateId descendant) const;
 
   /// All live gates in the transitive fanout of `g` (excluding `g`).
@@ -411,6 +412,7 @@ class Netlist {
   // mutex because pool workers may race to refill the cache between
   // mutations; mutators run strictly single-threaded (delta-bus contract).
   mutable std::vector<GateId> topo_cache_;
+  mutable std::vector<std::uint32_t> topo_pos_;  // slot -> index in the cache
   mutable bool topo_dirty_ = true;
   mutable std::mutex topo_mutex_;
 

@@ -189,6 +189,12 @@ std::string PowderReport::to_json() const {
   append_field(os, "pgc_fallback_pairs",
                diagnostics.power_model.pgc_fallback_pairs, &pf);
   os << "}";
+  os << ",\"selection\":{";
+  bool sf = true;
+  append_field(os, "rounds", diagnostics.selection.rounds, &sf);
+  append_field(os, "rescored", diagnostics.selection.rescored, &sf);
+  append_field(os, "reused", diagnostics.selection.reused, &sf);
+  os << "}";
   os << "}";
   // Snapshot of the attached MetricsRegistry; absent without a metrics sink
   // so every pre-existing consumer sees an unchanged document.

@@ -282,6 +282,14 @@ PowderReport PowderOptimizer::run() {
   const Meter m_pgc_memo =
       meter("powder_pgc_memo_hits_total",
             "Shortlisted PG_C values reused at an unchanged netlist epoch");
+  const Meter m_sel_rounds = meter("powder_selection_rounds_total",
+                                   "Selection rounds run");
+  const Meter m_sel_rescored =
+      meter("powder_selection_rescored_total",
+            "Candidates whose PG_A/PG_B a selection round computed");
+  const Meter m_sel_reused =
+      meter("powder_selection_reused_total",
+            "Candidates kept across a commit: no gate they read changed");
   const Meter m_pgc_cone =
       meter("powder_pgc_cone_gates_total",
             "Gates in the affected sets the timed PG_C replays simulated");
@@ -574,11 +582,25 @@ PowderReport PowderOptimizer::run() {
 
   // Commit accounting, shared by the commit step and the pre-pass: class
   // statistics, the rollback-aligned commit log, attribution, progress.
+  //
+  // Power and area are O(N) sums, read twice per commit. They are kept with
+  // the epoch they were read at: a commit's "before" is the previous
+  // commit's "after" unless the netlist moved since (a rollback).
+  std::uint64_t totals_epoch = kNoEpoch;
+  double totals_power = 0.0;
+  double totals_area = 0.0;
+  auto read_totals = [&]() {
+    if (totals_epoch == netlist_->epoch()) return;
+    totals_power = model.total_power();
+    totals_area = netlist_->total_area();
+    totals_epoch = netlist_->epoch();
+  };
   auto book_commit = [&](SubstClass cls, double power_before,
                          double area_before) {
-    const double power_after = model.total_power();
+    read_totals();
+    const double power_after = totals_power;
     const double power_delta = power_before - power_after;
-    const double area_delta = netlist_->total_area() - area_before;
+    const double area_delta = totals_area - area_before;
     ClassStats& stats = report.by_class[static_cast<std::size_t>(cls)];
     ++stats.applied;
     stats.power_delta += power_delta;
@@ -600,8 +622,9 @@ PowderReport PowderOptimizer::run() {
   // (possible only with a corrupted journal) also sets `stopped`.
   auto commit = [&](const CandidateSub& cand, int ordinal,
                     const ProofNote& note) {
-    const double power_before = model.total_power();
-    const double area_before = netlist_->total_area();
+    read_totals();
+    const double power_before = totals_power;
+    const double area_before = totals_area;
     const bool replaying = resume.matches(cand);
     AppliedSub applied;
     try {
@@ -673,8 +696,9 @@ PowderReport PowderOptimizer::run() {
   if (options_.candidates.resub.funcred) {
     TraceSpan fr_span(trace, "funcred", "powder");
     if (prog != nullptr) prog->phase(0, "funcred");
-    double fr_power = model.total_power();
-    double fr_area = netlist_->total_area();
+    read_totals();
+    double fr_power = totals_power;
+    double fr_area = totals_area;
     FuncredHooks hooks;
     hooks.prove = [&](const CandidateSub& cand) {
       // Resume oracle: a recorded merge was proved by the original run; an
@@ -707,8 +731,8 @@ PowderReport PowderOptimizer::run() {
       book_commit(ResubClass::kFuncRed, fr_power, fr_area);
       audit_decision(c.cand, "accepted", {false, "funcred", "untestable"});
       progress_tick();
-      fr_power = model.total_power();
-      fr_area = netlist_->total_area();
+      fr_power = totals_power;  // book_commit read them at this epoch
+      fr_area = totals_area;
     };
     const FuncredStats fr =
         functional_reduction(*netlist_, sim, journal, hooks, nullptr);
@@ -751,6 +775,7 @@ PowderReport PowderOptimizer::run() {
     if (prog != nullptr)
       prog->phase(audit_iteration, "proof",
                   static_cast<long long>(cands.size()), "candidates");
+    SelectionMemo memo(*netlist_, model);
     m_harvested.c->inc(static_cast<long long>(cands.size()));
     for (const CandidateSub& c : cands)
       m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
@@ -776,11 +801,11 @@ PowderReport PowderOptimizer::run() {
         break;
       }
       // ---- select_power_red_subst --------------------------------------
-      // Refresh validity and PG_A+PG_B of the surviving candidates whose
-      // memo predates the netlist's epoch, preselect the best, then
-      // re-estimate PG_C for the shortlist only.
+      // Re-check the validity of the candidates whose memo predates the
+      // netlist's epoch, re-score PG_A+PG_B where a gate they read changed,
+      // preselect the best, then re-estimate PG_C for the shortlist only.
       const std::size_t best = select_power_red_subst(
-          *netlist_, model, &cands, options_,
+          memo, &cands, options_,
           [&](const CandidateSub& c) {
             if (substitution_still_valid(*netlist_, c)) return true;
             m_stale.c->inc();
@@ -960,6 +985,12 @@ PowderReport PowderOptimizer::run() {
   report.diagnostics.power_model.kind = power_model_name(model.kind());
   m_pgc_evals.c->inc(selection_stats.pgc_evaluations);
   m_pgc_memo.c->inc(selection_stats.pgc_memo_hits);
+  m_sel_rounds.c->inc(selection_stats.rounds);
+  m_sel_rescored.c->inc(selection_stats.rescored);
+  m_sel_reused.c->inc(selection_stats.reused);
+  report.diagnostics.selection.rounds = m_sel_rounds.delta();
+  report.diagnostics.selection.rescored = m_sel_rescored.delta();
+  report.diagnostics.selection.reused = m_sel_reused.delta();
   if (timed_model.has_value()) {
     m_pgc_cone.c->inc(timed_model->replay_stats().cone_gates);
     m_pgc_fallback.c->inc(timed_model->replay_stats().fallback_pairs);

@@ -421,6 +421,15 @@ struct PowderReport {
       long pgc_fallback_pairs = 0;
     };
     PowerModelDiag power_model;
+
+    /// Selection rounds, and the candidates they re-scored (PG_A/PG_B
+    /// computed) vs kept across a commit because no gate they read changed.
+    struct Selection {
+      long rounds = 0;
+      long rescored = 0;
+      long reused = 0;
+    };
+    Selection selection;
   };
   Diagnostics diagnostics;
 

@@ -90,7 +90,11 @@ bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub) {
 }
 
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
-                    const CandidateSub& sub) {
+                    const CandidateSub& sub, PgaReads* reads) {
+  if (reads != nullptr) {
+    reads->cone.push_back(sub.target);
+    if (sub.branch.has_value()) reads->cone.push_back(sub.branch->gate);
+  }
   if (netlist.kind(sub.target) != GateKind::kCell ||
       !removes_dominated_region(netlist, sub)) {
     // Input substitution on a multi-fanout stem (or a PI driver): only the
@@ -123,6 +127,13 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
       if (!cone.contains(fi))
         gain += netlist.pin_cap(g, pin) * est.activity(fi);
     }
+  }
+  if (reads != nullptr) {
+    reads->cone.insert(reads->cone.end(), cone.gates().begin(),
+                       cone.gates().end());
+    for (GateId g : cone.gates())
+      for (GateId fi : netlist.fanins(g))
+        if (!cone.contains(fi)) reads->boundary.push_back(fi);
   }
   return gain;
 }

@@ -45,8 +45,21 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
 /// never reaches the proof engines.
 bool refuted_by_simulation(const Simulator& sim, const CandidateSub& sub);
 
+/// The gates a PG_A value (and the MFFC walk behind it) read, by how a
+/// change to them can matter. Repeats are possible.
+struct PgaReads {
+  /// The target, the branch sink and the cone: any change to their fanin
+  /// or fanout lists, cells or values can move the gain.
+  std::vector<GateId> cone;
+  /// Fanins of the cone the walk left outside: their values count, and
+  /// only a fanout they lose could pull them into the cone (unless they
+  /// are primary inputs or replacement sources, which it never absorbs).
+  std::vector<GateId> boundary;
+};
+
+/// With `reads`, also reports the gates the value read.
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
-                    const CandidateSub& sub);
+                    const CandidateSub& sub, PgaReads* reads = nullptr);
 double compute_pg_b(const Netlist& netlist, const PowerModel& est,
                     const CandidateSub& sub);
 double compute_pg_c(const Netlist& netlist, const PowerModel& est,

@@ -56,12 +56,17 @@ using SubstClass = ResubClass;
 
 /// Memo stamp of a value never computed.
 inline constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+/// Transform::memo_slot of a candidate the selection memo does not track.
+inline constexpr std::uint16_t kNoMemoSlot = 0xFFFF;
 
 struct Transform {
   ResubClass cls = ResubClass::kOS2;
-  /// Selection memo: pg_c was computed at `gains_epoch` (declared here so
-  /// it fills padding — a harvest holds every candidate at once).
+  /// Selection memo: pg_c was computed at `gains_epoch`, and the
+  /// candidate's slot in the SelectionMemo of its list (kNoMemoSlot before
+  /// the first round scores it, and past the memo's capacity). Declared
+  /// here so they fill padding — a harvest holds every candidate at once.
   bool pg_c_memo = false;
+  std::uint16_t memo_slot = kNoMemoSlot;
   GateId target = kNullGate;            ///< substituted stem signal
   std::optional<FanoutRef> branch;      ///< set for input substitutions
   CellId new_cell = kInvalidCell;       ///< library cell for OS3/IS3/OSK/ISK

@@ -1,5 +1,7 @@
 #include "power/model.hpp"
 
+#include <cstring>
+
 #include "power/power.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -14,6 +16,32 @@ const char* power_model_name(PowerModelKind kind) {
       return "timed";
   }
   POWDER_CHECK(false);
+}
+
+namespace {
+/// ModelChangeLog bound: past this the consumer is clearly not draining (or
+/// the circuit churned wholesale) and the log degrades to `full`.
+constexpr std::size_t kChangeLogCap = 1 << 16;
+}  // namespace
+
+void ModelChangeLog::record(std::span<const GateId> gates) {
+  if (pending_.full) return;
+  if (pending_.gates.size() + gates.size() > kChangeLogCap) {
+    mark_full();
+    return;
+  }
+  pending_.gates.insert(pending_.gates.end(), gates.begin(), gates.end());
+}
+
+void ModelChangeLog::mark_full() {
+  pending_.full = true;
+  pending_.gates.clear();
+}
+
+ModelChanges ModelChangeLog::drain() {
+  ModelChanges out;
+  std::swap(out, pending_);
+  return out;
 }
 
 TimedPowerModel::TimedPowerModel(PowerEstimator* base, GlitchOptions options)
@@ -75,12 +103,19 @@ void TimedPowerModel::refresh() {
   if (rebuild_) {
     estimate_ = estimate_glitch_power(*netlist_, options_, &trace_);
     ++resims_;
+    changes_.mark_full();
   } else {
+    before_ = estimate_.timed_activity;
     const GlitchReplayStats done = replayer_.refresh(
         *netlist_, changed_, loaded_, options_, &trace_, &estimate_);
     refresh_stats_.cone_gates += done.cone_gates;
     refresh_stats_.fallback_pairs += done.fallback_pairs;
     ++cone_refreshes_;
+    const std::vector<double>& after = estimate_.timed_activity;
+    for (GateId g = 0; g < after.size(); ++g)
+      if (g >= before_.size() ||
+          std::memcmp(&before_[g], &after[g], sizeof(double)) != 0)
+        changes_.record({&g, 1});
   }
   overflows_total_ += estimate_.event_overflows;
   rebuild_ = false;
@@ -92,6 +127,17 @@ double TimedPowerModel::trial_power(const EditPlan& plan) const {
   POWDER_CHECK_MSG(!stale(), "trial_power() on a model that needs refresh()");
   return replayer_.trial_power(*netlist_, trace_, plan, options_,
                                &replay_stats_);
+}
+
+ModelChanges TimedPowerModel::drain_changes() const {
+  ModelChanges out = base_->drain_changes();
+  ModelChanges own = changes_.drain();
+  out.full = out.full || own.full;
+  if (out.full)
+    out.gates.clear();
+  else
+    out.gates.insert(out.gates.end(), own.gates.begin(), own.gates.end());
+  return out;
 }
 
 double TimedPowerModel::activity(GateId g) const {

@@ -22,7 +22,12 @@
 // for bit to a fresh full estimate. The estimate is therefore a pure
 // function of (netlist, options) and identical at any thread count.
 // trial_power() re-estimates a planned edit the same way, without making
-// it.
+// it. Each model also logs which gates its refreshes changed, so a consumer
+// that memoizes values read from it (the selection's gain memo) can tell
+// which of them are still current.
+
+#include <span>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 #include "power/glitch.hpp"
@@ -39,6 +44,25 @@ enum class PowerModelKind : std::uint8_t {
 
 /// Stable spelling for reports, CLI flags and diagnostics.
 const char* power_model_name(PowerModelKind kind);
+
+/// Gates whose cached model quantities changed: activity, probability or
+/// simulated value words.
+struct ModelChanges {
+  bool full = false;          ///< assume every gate changed
+  std::vector<GateId> gates;  ///< otherwise exactly these (may repeat)
+};
+
+/// The log behind PowerModel::drain_changes(): bounded, overflow degrades to
+/// `full`, and a fresh log is `full` (everything is new to the consumer).
+class ModelChangeLog {
+ public:
+  void record(std::span<const GateId> gates);
+  void mark_full();
+  ModelChanges drain();
+
+ private:
+  ModelChanges pending_{true, {}};
+};
 
 /// Abstract activity/power oracle the optimization stack is written
 /// against. All cached quantities follow the refresh() contract of the
@@ -68,6 +92,10 @@ class PowerModel {
   virtual double signal_power(GateId g) const = 0;
   /// sum_i C(i) * activity(i) over all live non-PO signals.
   virtual double total_power() const = 0;
+
+  /// Single-consumer drain of the gates whose activity, probability or
+  /// simulated value words the refreshes since the last drain changed.
+  virtual ModelChanges drain_changes() const = 0;
 };
 
 /// Event-driven timed power model. Borrows a zero-delay estimator (which
@@ -93,6 +121,9 @@ class TimedPowerModel final : public PowerModel, public NetlistObserver {
   double probability(GateId g) const override;
   double signal_power(GateId g) const override;
   double total_power() const override { return estimate_.timed_power; }
+  /// The base estimator's changes plus the gates whose timed activity
+  /// moved.
+  ModelChanges drain_changes() const override;
 
   void on_delta(const NetlistDelta& delta) override;
 
@@ -139,6 +170,8 @@ class TimedPowerModel final : public PowerModel, public NetlistObserver {
   std::vector<GateId> changed_;
   std::vector<GateId> loaded_;
   bool rebuild_ = true;
+  std::vector<double> before_;  // timed activities before a cone refresh
+  mutable ModelChangeLog changes_;
   long resims_ = 0;
   long cone_refreshes_ = 0;
   long overflows_total_ = 0;

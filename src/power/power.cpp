@@ -22,6 +22,7 @@ void PowerEstimator::refresh_gate(GateId g) {
 }
 
 void PowerEstimator::estimate_all() {
+  changes_.mark_full();
   const Netlist& nl = sim_->netlist();
   prob_.assign(nl.num_slots(), 0.0);
   activity_.assign(nl.num_slots(), 0.0);
@@ -40,6 +41,7 @@ void PowerEstimator::refresh() {
   activity_.ensure(nl.num_slots());
   for (GateId g : r.gates)
     if (nl.alive(g) && nl.kind(g) != GateKind::kOutput) refresh_gate(g);
+  changes_.record(r.changed);
 }
 
 double PowerEstimator::signal_power(GateId g) const {

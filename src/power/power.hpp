@@ -58,8 +58,13 @@ class PowerEstimator : public PowerModel {
   /// sum_i C(i)*E(i) over all live signals.
   double total_power() const override;
 
+  /// The gates whose value words the simulator refreshes changed (every
+  /// gate after a full estimate).
+  ModelChanges drain_changes() const override { return changes_.drain(); }
+
  private:
   Simulator* sim_;
+  mutable ModelChangeLog changes_;
   GateMap<double> activity_;
   GateMap<double> prob_;
 

@@ -136,10 +136,9 @@ void SessionRecorder::open(const std::string& path, const Netlist& netlist,
     throw Error::io(err);
 }
 
-void SessionRecorder::record_commit(int outer, int performed,
+void SessionRecorder::append_commit(int outer, int performed,
                                     const CandidateSub& cand,
                                     const AppliedSub& applied) {
-  if (!enabled()) return;
   std::string payload;
   try {
     if (inject_fault(FaultInjector::Site::kAllocFail)) throw std::bad_alloc();

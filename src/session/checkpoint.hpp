@@ -58,9 +58,12 @@ class SessionRecorder {
   bool degraded() const { return degraded_; }
   const std::string& error() const { return error_; }
 
-  /// Appends one commit frame (fsync'd). No-op when disabled; never throws.
+  /// Appends one commit frame (fsync'd). No-op when disabled (inline: the
+  /// commit path pays one load); never throws.
   void record_commit(int outer, int performed, const CandidateSub& cand,
-                     const AppliedSub& applied);
+                     const AppliedSub& applied) {
+    if (enabled()) append_commit(outer, performed, cand, applied);
+  }
 
   /// Appends one functional-reduction pre-pass frame (fsync'd). Same
   /// degradation contract as record_commit; `round`/`ordinal` identify the
@@ -79,6 +82,8 @@ class SessionRecorder {
   }
 
  private:
+  void append_commit(int outer, int performed, const CandidateSub& cand,
+                     const AppliedSub& applied);
   void degrade(const std::string& why);
 
   WalWriter writer_;

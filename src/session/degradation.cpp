@@ -78,7 +78,8 @@ DegradationLadder::Decision DegradationLadder::decide(
   return d;
 }
 
-DegradationLevel DegradationLadder::evaluate(const ResourceBudget& budget) {
+DegradationLevel DegradationLadder::evaluate_sensors(
+    const ResourceBudget& budget) {
   if (level_ == DegradationLevel::kStop) return level_;
 
   Sensors s;

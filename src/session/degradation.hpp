@@ -52,8 +52,16 @@ class DegradationLadder {
 
   /// Re-reads the sensors and steps down if needed. Cheap enough for the
   /// inner loop: a couple of relaxed loads; RSS is sampled once every 32
-  /// calls. Returns the (possibly new) level.
-  DegradationLevel evaluate(const ResourceBudget& budget);
+  /// calls. Returns the (possibly new) level. Inline for a run without a
+  /// deadline or memory limit whose proof pools are not dry: no sensor can
+  /// then demand a step, and the probe stays a few loads.
+  DegradationLevel evaluate(const ResourceBudget& budget) {
+    if (level_ != DegradationLevel::kStop && deadline_total_ <= 0.0 &&
+        !budget.has_deadline() && session_.mem_limit_bytes <= 0 &&
+        !budget.atpg_pool_dry() && !budget.sat_pool_dry())
+      return level_;
+    return evaluate_sensors(budget);
+  }
 
   DegradationLevel level() const { return level_; }
   StopReason stop_reason() const { return stop_reason_; }
@@ -82,6 +90,7 @@ class DegradationLadder {
   Decision decide(const Sensors& sensors) const;
 
  private:
+  DegradationLevel evaluate_sensors(const ResourceBudget& budget);
   void step_to(DegradationLevel to, StopReason stop, const char* reason,
                long long value);
 

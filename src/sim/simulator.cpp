@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "logic/cube.hpp"
@@ -156,7 +157,7 @@ Simulator::RefreshResult Simulator::refresh() {
   roots.swap(dirty_roots_);
   for (GateId g : roots) dirty_flag_[g] = 0;
   std::erase_if(roots, [&](GateId g) { return !netlist_->alive(g); });
-  res.gates = resimulate_from(roots);
+  res.gates = resimulate_from(roots, &res.changed);
   record_refreshed(res.gates);
   if (traced) {
     const std::uint64_t dur = trace_now_ns() - t0;
@@ -317,7 +318,8 @@ void Simulator::resimulate_all() {
   }
 }
 
-void Simulator::eval_gate_mixed(GateId g, std::uint64_t* dest,
+template <bool kDetect>
+bool Simulator::eval_gate_mixed(GateId g, std::uint64_t* dest,
                                 const std::uint8_t* dirty,
                                 const std::uint64_t* scratch_words, int w0,
                                 int w1) const {
@@ -327,9 +329,13 @@ void Simulator::eval_gate_mixed(GateId g, std::uint64_t* dest,
     return from + static_cast<std::size_t>(fi) * num_words_;
   };
   const std::span<const GateId> fanins = netlist_->fanins(g);
+  std::uint64_t moved = 0;
   if (netlist_->kind(g) == GateKind::kOutput) {
-    std::copy(src(fanins[0]) + w0, src(fanins[0]) + w1, dest + w0);
-    return;
+    const std::uint64_t* from = src(fanins[0]);
+    if constexpr (kDetect)
+      for (int w = w0; w < w1; ++w) moved |= dest[w] ^ from[w];
+    std::copy(from + w0, from + w1, dest + w0);
+    return moved != 0;
   }
   POWDER_DCHECK(netlist_->kind(g) == GateKind::kCell);
   // Fixed stack buffers: this runs once per (gate, word-range) visit and
@@ -343,11 +349,15 @@ void Simulator::eval_gate_mixed(GateId g, std::uint64_t* dest,
   const CellId cell = netlist_->cell_id(g);
   for (int w = w0; w < w1; ++w) {
     for (std::size_t k = 0; k < n; ++k) fanin_words[k] = fi_ptr[k][w];
-    dest[w] = evaluator_.evaluate(cell, {fanin_words, n});
+    const std::uint64_t word = evaluator_.evaluate(cell, {fanin_words, n});
+    if constexpr (kDetect) moved |= dest[w] ^ word;
+    dest[w] = word;
   }
+  return moved != 0;
 }
 
-std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots) {
+std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots,
+                                               std::vector<GateId>* changed) {
   ensure_capacity();
   std::vector<std::uint8_t> affected(netlist_->num_slots(), 0);
   std::vector<GateId> stack;
@@ -373,12 +383,18 @@ std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots) {
     if (netlist_->kind(g) == GateKind::kInput) continue;
     order.push_back(g);
   }
+  // moved[i]: some word range of order[i] changed. Ranges of one gate run
+  // on different lanes, so a lane that finds a change marks it atomically.
+  std::vector<std::uint8_t> moved(order.size(), 0);
   auto eval_range = [&](std::size_t lo, std::size_t hi) {
-    for (GateId g : order)
-      eval_gate_mixed(g,
-                      values_.data() + static_cast<std::size_t>(g) * num_words_,
-                      nullptr, nullptr, static_cast<int>(lo),
-                      static_cast<int>(hi));
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const GateId g = order[i];
+      if (eval_gate_mixed<true>(
+              g, values_.data() + static_cast<std::size_t>(g) * num_words_,
+              nullptr, nullptr, static_cast<int>(lo), static_cast<int>(hi)))
+        std::atomic_ref<std::uint8_t>(moved[i]).store(
+            1, std::memory_order_relaxed);
+    }
   };
   if (order.size() >= 4 && word_shards() > 1) {
     pool_->parallel_for(static_cast<std::size_t>(num_words_),
@@ -386,6 +402,8 @@ std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots) {
   } else {
     eval_range(0, static_cast<std::size_t>(num_words_));
   }
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (moved[i] != 0) changed->push_back(order[i]);
   return order;
 }
 

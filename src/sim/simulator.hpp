@@ -100,10 +100,12 @@ class Simulator final : public NetlistObserver {
 
   /// Result of one incremental refresh: either a full resimulation
   /// happened, or exactly `gates` (roots plus transitive fanout, in
-  /// topological order) were re-evaluated.
+  /// topological order) were re-evaluated, and `changed` (a subsequence of
+  /// `gates`) lists those whose value words differ from before.
   struct RefreshResult {
     bool full = false;
     std::vector<GateId> gates;
+    std::vector<GateId> changed;
   };
 
   /// Brings the values up to date with every netlist delta observed since
@@ -225,8 +227,10 @@ class Simulator final : public NetlistObserver {
   void record_refreshed(const std::vector<GateId>& gates);
 
   /// Recomputes the values of `roots` and their transitive fanout only;
-  /// returns the re-evaluated gates in topological order.
-  std::vector<GateId> resimulate_from(std::span<const GateId> roots);
+  /// returns the re-evaluated gates in topological order and appends to
+  /// `*changed` those whose words moved.
+  std::vector<GateId> resimulate_from(std::span<const GateId> roots,
+                                      std::vector<GateId>* changed);
 
   ScratchLease acquire_scratch() const;
   void release_scratch(std::unique_ptr<Scratch> scratch) const;
@@ -236,8 +240,10 @@ class Simulator final : public NetlistObserver {
 
   /// Computes words [w0, w1) of gate g's value into `dest + w0`, reading
   /// each fanin from `scratch_words` when its bit is set in `dirty`
-  /// (nullable = never), else from `values_`.
-  void eval_gate_mixed(GateId g, std::uint64_t* dest,
+  /// (nullable = never), else from `values_`. With kDetect, returns whether
+  /// any of those words differs from what `dest` held (else false).
+  template <bool kDetect = false>
+  bool eval_gate_mixed(GateId g, std::uint64_t* dest,
                        const std::uint8_t* dirty,
                        const std::uint64_t* scratch_words, int w0,
                        int w1) const;

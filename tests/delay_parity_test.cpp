@@ -134,10 +134,11 @@ struct GreedyBench {
     for (int it = 0; it < iterations; ++it) {
       est.refresh();
       std::vector<CandidateSub> cands = finder.find();
+      SelectionMemo memo(nl, est);
       int commits = 0;
       for (;;) {
         const std::size_t best = select_power_red_subst(
-            nl, est, &cands, opt,
+            memo, &cands, opt,
             [&](const CandidateSub& c) {
               return substitution_still_valid(nl, c);
             },

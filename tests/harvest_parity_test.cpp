@@ -385,10 +385,11 @@ struct HarvestBench {
     for (int it = 0; it < iterations; ++it) {
       std::vector<CandidateSub> cands =
           harvest(label + " harvest " + std::to_string(harvests));
+      SelectionMemo memo(nl, model());
       int commits = 0;
       while (commits < max_commits) {
         const std::size_t best = select_power_red_subst(
-            nl, model(), &cands, opt,
+            memo, &cands, opt,
             [&](const CandidateSub& c) {
               return substitution_still_valid(nl, c);
             },

@@ -12,7 +12,11 @@
 #include "benchgen/benchmarks.hpp"
 #include "mapper/mapper.hpp"
 #include "netlist/netlist.hpp"
+#include "opt/power_gain.hpp"
+#include "opt/selection.hpp"
 #include "powder.hpp"
+#include "power/power.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
 
 namespace powder {
@@ -276,6 +280,94 @@ TEST_F(NetlistTest, GenerationBumpsOnMutation) {
 TEST_F(NetlistTest, ArityMismatchThrows) {
   const GateId a = nl_.add_input("a");
   EXPECT_THROW(nl_.add_gate(cell("and2"), {a}), CheckError);
+}
+
+// The selection memo (opt/selection.hpp) keeps a candidate's PG_A across
+// commits unless a gate it read changed. A cell the MFFC walk left outside
+// the cone because it had another fanout is such a read: removing that
+// other fanout pulls the cell into the cone, so the candidate must be
+// re-scored. A change to a gate the walk read only by value (a primary
+// input) that moves no value must not re-score it.
+TEST_F(NetlistTest, LostFanoutPullsBoundaryCellIntoCandidateMffc) {
+  const GateId a = nl_.add_input("a");
+  const GateId b = nl_.add_input("b");
+  const GateId c = nl_.add_input("c");
+  const GateId g = nl_.add_gate(cell("and2"), {a, b}, "g");
+  const GateId t = nl_.add_gate(cell("nand2"), {g, c}, "t");
+  nl_.add_output("f", t);
+  // Dangling: g's other fanout, and a gate the candidate does not read.
+  const GateId y = nl_.add_gate(cell("inv1"), {g}, "y");
+  const GateId w = nl_.add_gate(cell("inv1"), {a}, "w");
+  Simulator sim(nl_, 256);
+  PowerEstimator est(&sim);
+
+  CandidateSub sub;
+  sub.cls = ResubClass::kOS2;
+  sub.target = t;
+  sub.rep.kind = ReplacementFunction::Kind::kConstant;
+  std::vector<CandidateSub> cands{sub};
+  const PowderOptions opt;
+  SelectionMemo memo(nl_, est);
+  SelectionStats stats;
+  const auto keep = [](const CandidateSub&) { return true; };
+  (void)select_power_red_subst(memo, &cands, opt, keep, &stats);
+  ASSERT_EQ(cands.size(), 1u);
+  EXPECT_EQ(nl_.mffc(t), std::vector<GateId>{t});  // g still feeds y
+  const double before = cands[0].pg_a;
+
+  // Drop y: g is left feeding t alone.
+  nl_.remove_single_gate(y);
+  est.refresh();
+  (void)select_power_red_subst(memo, &cands, opt, keep, &stats);
+  EXPECT_EQ(stats.rescored, 2);
+  EXPECT_EQ(stats.reused, 0);
+  EXPECT_EQ(nl_.mffc(t).size(), 2u);
+  EXPECT_GT(cands[0].pg_a, before);
+  EXPECT_EQ(cands[0].pg_a, compute_pg_a(nl_, est, cands[0]));
+
+  // Drop w: the primary input a loses a fanout, but a is read by value
+  // only and no value moves.
+  nl_.remove_single_gate(w);
+  est.refresh();
+  (void)select_power_red_subst(memo, &cands, opt, keep, &stats);
+  EXPECT_EQ(stats.rescored, 2);
+  EXPECT_EQ(stats.reused, 1);
+  EXPECT_EQ(cands[0].pg_a, compute_pg_a(nl_, est, cands[0]));
+}
+
+// in_tfo walks only the gates placed before the descendant in the cached
+// topological order; it must agree with the full transitive fanout, both
+// with the cache current and right after a mutation made it stale.
+TEST(InTfo, AgreesWithTransitiveFanout) {
+  const CellLibrary lib = CellLibrary::standard();
+  Netlist nl = map_aig(make_benchmark("comp"), lib);
+  auto check_all_pairs = [&](const char* when) {
+    for (GateId a = 0; a < nl.num_slots(); ++a) {
+      if (!nl.alive(a)) continue;
+      std::vector<std::uint8_t> reach(nl.num_slots(), 0);
+      for (const GateId g : nl.tfo(a)) reach[g] = 1;
+      for (GateId d = 0; d < nl.num_slots(); ++d) {
+        if (!nl.alive(d)) continue;
+        ASSERT_EQ(nl.in_tfo(a, d), reach[d] != 0)
+            << when << ": " << a << " -> " << d;
+      }
+    }
+  };
+  (void)nl.topo_order();
+  check_all_pairs("topological order current");
+  // Rewire a pin to a gate that comes later in the order; the cached order
+  // is stale until the next topo_order().
+  const GateId out = nl.outputs()[0];
+  const GateId late = nl.fanin(out, 0);
+  for (GateId g : nl.topo_order()) {
+    if (nl.kind(g) != GateKind::kCell || g == late || nl.in_tfo(g, late))
+      continue;
+    nl.set_fanin(g, 0, late);
+    break;
+  }
+  check_all_pairs("topological order stale");
+  (void)nl.topo_order();
+  check_all_pairs("topological order recomputed");
 }
 
 TEST(LibraryOwnership, HelperBuiltNetlistKeepsLibraryAlive) {
