@@ -51,7 +51,8 @@ Netlist::Netlist(const Netlist& other)
       outputs_(other.outputs_),
       latches_(other.latches_),
       generation_(other.generation_),
-      name_counter_(other.name_counter_) {}
+      name_counter_(other.name_counter_),
+      area_(other.area_) {}
 
 Netlist& Netlist::operator=(const Netlist& other) {
   if (this == &other) return *this;
@@ -73,6 +74,7 @@ Netlist& Netlist::operator=(const Netlist& other) {
   latches_ = other.latches_;
   generation_ = other.generation_;
   name_counter_ = other.name_counter_;
+  area_ = other.area_;
   delta_log_.clear();
   log_head_ = 0;
   NetlistDelta d;
@@ -100,6 +102,8 @@ Netlist::Netlist(Netlist&& other) {
   inputs_ = std::move(other.inputs_);
   outputs_ = std::move(other.outputs_);
   latches_ = std::move(other.latches_);
+  area_ = std::move(other.area_);
+  area_stale_ = true;
   generation_ = other.generation_;
   name_counter_ = other.name_counter_;
   delta_log_ = std::move(other.delta_log_);
@@ -128,6 +132,8 @@ Netlist& Netlist::operator=(Netlist&& other) {
   inputs_ = std::move(other.inputs_);
   outputs_ = std::move(other.outputs_);
   latches_ = std::move(other.latches_);
+  area_ = std::move(other.area_);
+  area_stale_ = true;
   generation_ = other.generation_;
   name_counter_ = other.name_counter_;
   delta_log_.clear();
@@ -154,6 +160,15 @@ void Netlist::publish(NetlistDelta&& delta) {
   ++deltas_published_;
   // Resizing (kCellChanged) never changes the DAG; everything else does.
   if (delta.kind != DeltaKind::kCellChanged) topo_dirty_ = true;
+  // A rewire moves no area; every other kind may change its subject's.
+  if (delta.kind == DeltaKind::kRebuilt) {
+    area_.resize(kind_.size());
+    for (GateId g = 0; g < kind_.size(); ++g) area_[g] = slot_area(g);
+    area_stale_ = true;
+  } else if (delta.kind != DeltaKind::kFaninChanged) {
+    area_[delta.gate] = slot_area(delta.gate);
+    area_stale_ = true;
+  }
   for (NetlistObserver* obs : observers_) {
     obs->on_delta(delta);
     ++notifications_;
@@ -238,7 +253,14 @@ GateId Netlist::new_gate(GateKind kind) {
   po_load_.push_back(1.0);
   fanin_ref_.emplace_back();
   fanout_ref_.emplace_back();
+  area_.push_back(0.0);
   return id;
+}
+
+double Netlist::slot_area(GateId g) const {
+  return alive_[g] != 0 && kind_[g] == GateKind::kCell
+             ? library_->cell(cell_[g]).area
+             : 0.0;
 }
 
 void Netlist::reserve(std::size_t gates, std::size_t pins) {
@@ -249,6 +271,7 @@ void Netlist::reserve(std::size_t gates, std::size_t pins) {
   po_load_.reserve(gates);
   fanin_ref_.reserve(gates);
   fanout_ref_.reserve(gates);
+  area_.reserve(gates);
   // Slabs round pin lists up to powers of two; double the estimate to
   // cover fanout slack so bulk construction stays reallocation-free.
   fanin_pins_.reserve(2 * pins);
@@ -536,11 +559,14 @@ double Netlist::signal_cap(GateId gate) const {
 }
 
 double Netlist::total_area() const {
-  double a = 0.0;
-  for (GateId g = 0; g < kind_.size(); ++g)
-    if (alive_[g] != 0 && kind_[g] == GateKind::kCell)
-      a += library_->cell(cell_[g]).area;
-  return a;
+  std::lock_guard<std::mutex> lock(area_mutex_);
+  if (area_stale_) {
+    double a = 0.0;
+    for (const double x : area_) a += x;
+    area_total_ = a;
+    area_stale_ = false;
+  }
+  return area_total_;
 }
 
 std::vector<GateId> Netlist::compute_topo() const {
@@ -583,6 +609,11 @@ const std::vector<GateId>& Netlist::topo_order() const {
     topo_dirty_ = false;
   }
   return topo_cache_;
+}
+
+std::span<const std::uint32_t> Netlist::topo_positions() const {
+  (void)topo_order();
+  return topo_pos_;
 }
 
 bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {

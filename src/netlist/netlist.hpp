@@ -282,7 +282,10 @@ class Netlist {
   /// (sum of the pin caps of all its fanout branches).
   double signal_cap(GateId gate) const;
 
-  /// Sum of cell areas of live gates.
+  /// Sum of cell areas of live gates: the slot-order sum of a per-slot
+  /// area array the mutators keep (+0.0 for every slot that is not a live
+  /// cell, which leaves the sum bitwise unchanged), re-summed only after
+  /// an area changed.
   double total_area() const;
 
   /// Live gates in topological order (inputs first, outputs last). Cached;
@@ -291,6 +294,12 @@ class Netlist {
   /// the next structural mutation; callers that mutate while iterating must
   /// copy first. Safe to call from concurrent readers between mutations.
   const std::vector<GateId>& topo_order() const;
+
+  /// Each live gate's index in topo_order(), by slot (refilled with the
+  /// cached order; entries of dead slots are meaningless). Same lifetime
+  /// rule as topo_order(). Sorting a gate set by these positions yields the
+  /// subsequence of topo_order() it covers without scanning the order.
+  std::span<const std::uint32_t> topo_positions() const;
 
   /// True if `descendant` is reachable from `ancestor` (strictly; a gate is
   /// not its own transitive fanout). While the cached topological order is
@@ -416,6 +425,14 @@ class Netlist {
   mutable bool topo_dirty_ = true;
   mutable std::mutex topo_mutex_;
 
+  // Per-slot cell area (+0.0 unless a live kCell), kept by publish(); the
+  // slot-order sum is cached until the next change. The mutex lets
+  // concurrent readers fill the cache between mutations.
+  std::vector<double> area_;
+  mutable double area_total_ = 0.0;
+  mutable bool area_stale_ = true;
+  mutable std::mutex area_mutex_;
+
   // Reused DFS scratch for the in_tfo cycle guard: set_fanin runs once per
   // committed rewire and stale candidates once per source per selection
   // round, so it must neither clear nor allocate in steady state. Each call
@@ -426,6 +443,7 @@ class Netlist {
   mutable std::vector<GateId> tfo_stack_;
 
   GateId new_gate(GateKind kind);
+  double slot_area(GateId g) const;
   void connect(GateId driver, GateId sink, int pin);
   void disconnect(GateId driver, GateId sink, int pin);
   std::vector<GateId> compute_topo() const;

@@ -406,20 +406,10 @@ PowderReport PowderOptimizer::run() {
 
   // Primary-output signature snapshot on the independent pattern set: the
   // PI stimulus is frozen, so a permissible substitution can never change
-  // any PO word. Any mismatch after a commit is a proven miscompare.
-  const std::vector<GateId> po_gates = netlist_->outputs();
-  std::vector<std::uint64_t> po_snapshot;
-  for (GateId o : po_gates) {
-    const auto words = verify_sim.value(o);
-    po_snapshot.insert(po_snapshot.end(), words.begin(), words.end());
-  }
-  auto po_signatures_ok = [&]() {
-    std::size_t k = 0;
-    for (GateId o : po_gates)
-      for (std::uint64_t w : verify_sim.value(o))
-        if (w != po_snapshot[k++]) return false;
-    return true;
-  };
+  // any PO word. Any mismatch after a commit is a proven miscompare. After
+  // a commit only the POs whose words the refresh moved can differ; the
+  // end-of-run guard compares them all.
+  PoSignatureGuard po_guard(verify_sim);
 
   AtpgOptions atpg_options = options_.proof.atpg;
   atpg_options.budget = &budget;
@@ -461,7 +451,7 @@ PowderReport PowderOptimizer::run() {
     } else {
       model.refresh();
     }
-    verify_sim.refresh();
+    po_guard.note(verify_sim.refresh());
   };
 
   // The ladder replaces the old binary expired/exhausted stop: the same
@@ -582,25 +572,13 @@ PowderReport PowderOptimizer::run() {
 
   // Commit accounting, shared by the commit step and the pre-pass: class
   // statistics, the rollback-aligned commit log, attribution, progress.
-  //
-  // Power and area are O(N) sums, read twice per commit. They are kept with
-  // the epoch they were read at: a commit's "before" is the previous
-  // commit's "after" unless the netlist moved since (a rollback).
-  std::uint64_t totals_epoch = kNoEpoch;
-  double totals_power = 0.0;
-  double totals_area = 0.0;
-  auto read_totals = [&]() {
-    if (totals_epoch == netlist_->epoch()) return;
-    totals_power = model.total_power();
-    totals_area = netlist_->total_area();
-    totals_epoch = netlist_->epoch();
-  };
+  // Power and area totals are cached by the model and the netlist, so the
+  // reads before and after a commit cost a re-sum at most.
   auto book_commit = [&](SubstClass cls, double power_before,
                          double area_before) {
-    read_totals();
-    const double power_after = totals_power;
+    const double power_after = model.total_power();
     const double power_delta = power_before - power_after;
-    const double area_delta = totals_area - area_before;
+    const double area_delta = netlist_->total_area() - area_before;
     ClassStats& stats = report.by_class[static_cast<std::size_t>(cls)];
     ++stats.applied;
     stats.power_delta += power_delta;
@@ -622,9 +600,8 @@ PowderReport PowderOptimizer::run() {
   // (possible only with a corrupted journal) also sets `stopped`.
   auto commit = [&](const CandidateSub& cand, int ordinal,
                     const ProofNote& note) {
-    read_totals();
-    const double power_before = totals_power;
-    const double area_before = totals_area;
+    const double power_before = model.total_power();
+    const double area_before = netlist_->total_area();
     const bool replaying = resume.matches(cand);
     AppliedSub applied;
     try {
@@ -643,7 +620,7 @@ PowderReport PowderOptimizer::run() {
     resync();
     if (options_.check_invariants) netlist_->check_consistency();
 
-    if (options_.guard.signature_check && !po_signatures_ok()) {
+    if (options_.guard.signature_check && !po_guard.ok()) {
       if (replaying)
         throw Error::input(
             "resume diverged: the signature guard rejected a commit the "
@@ -696,9 +673,8 @@ PowderReport PowderOptimizer::run() {
   if (options_.candidates.resub.funcred) {
     TraceSpan fr_span(trace, "funcred", "powder");
     if (prog != nullptr) prog->phase(0, "funcred");
-    read_totals();
-    double fr_power = totals_power;
-    double fr_area = totals_area;
+    double fr_power = model.total_power();
+    double fr_area = netlist_->total_area();
     FuncredHooks hooks;
     hooks.prove = [&](const CandidateSub& cand) {
       // Resume oracle: a recorded merge was proved by the original run; an
@@ -718,7 +694,8 @@ PowderReport PowderOptimizer::run() {
       return true;
     };
     hooks.resync = resync;
-    if (options_.guard.signature_check) hooks.guard_ok = po_signatures_ok;
+    if (options_.guard.signature_check)
+      hooks.guard_ok = [&]() { return po_guard.ok(); };
     hooks.on_commit = [&](const FuncredCommit& c) {
       if (resume.prepass_active()) {
         if (!same_applied(resume.prepass_current().applied, c.applied))
@@ -731,8 +708,8 @@ PowderReport PowderOptimizer::run() {
       book_commit(ResubClass::kFuncRed, fr_power, fr_area);
       audit_decision(c.cand, "accepted", {false, "funcred", "untestable"});
       progress_tick();
-      fr_power = totals_power;  // book_commit read them at this epoch
-      fr_area = totals_area;
+      fr_power = model.total_power();
+      fr_area = netlist_->total_area();
     };
     const FuncredStats fr =
         functional_reduction(*netlist_, sim, journal, hooks, nullptr);
@@ -795,7 +772,9 @@ PowderReport PowderOptimizer::run() {
     }
 
     int performed = 0;
-    while (performed < options_.repeat && !cands.empty()) {
+    // The last pick's tombstone stays in `cands` until the next round.
+    std::size_t tombstones = 0;
+    while (performed < options_.repeat && cands.size() > tombstones) {
       if (stop_requested()) {
         stopped = true;
         break;
@@ -815,8 +794,8 @@ PowderReport PowderOptimizer::run() {
           &selection_stats);
       if (best == cands.size()) break;  // nothing left that helps
 
-      CandidateSub chosen = cands[best];
-      cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
+      CandidateSub chosen = take_pick(&cands, best);
+      tombstones = 1;
       ProofNote note{options_.objective != Objective::kArea};
 
       if (!delay_ok(chosen, note)) continue;
@@ -914,7 +893,7 @@ PowderReport PowderOptimizer::run() {
   if (options_.guard.signature_check || pristine.has_value()) {
     if (prog != nullptr) prog->phase(audit_iteration, "final_guard");
     auto state_good = [&]() {
-      if (options_.guard.signature_check && !po_signatures_ok()) return false;
+      if (options_.guard.signature_check && !po_guard.ok_full()) return false;
       if (pristine.has_value() &&
           !functionally_equivalent(*pristine, *netlist_))
         return false;

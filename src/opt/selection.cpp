@@ -144,12 +144,15 @@ std::size_t select_power_red_subst(
   const bool area_mode = options.objective == Objective::kArea;
   memo.begin_round();
   ++stats->rounds;
-  std::vector<std::size_t> order;
-  std::vector<double> metric(cands->size(), 0.0);
+  std::vector<std::size_t>& order = memo.order_;
+  std::vector<double>& metric = memo.metric_;
+  order.clear();
+  metric.resize(cands->size());
   // One stable compaction pass: the survivors move down over the dropped.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < cands->size(); ++i) {
     CandidateSub& c = (*cands)[i];
+    if (c.target == kNullGate) continue;  // a tombstone (take_pick)
     if (c.gains_epoch != epoch) {
       if (!keep(c)) continue;
       if (memo.unchanged(c)) {
@@ -204,6 +207,13 @@ std::size_t select_power_red_subst(
                                      "evaluations",
                                      stats->pgc_evaluations - evaluations);
   return best;
+}
+
+CandidateSub take_pick(std::vector<CandidateSub>* cands, std::size_t best) {
+  CandidateSub& slot = (*cands)[best];
+  CandidateSub pick = std::move(slot);
+  slot.target = kNullGate;
+  return pick;
 }
 
 }  // namespace powder

@@ -24,6 +24,12 @@
 // and PG_C, which reads the whole transitive fanout, is still recomputed at
 // every new epoch. An evicted delta log, a full model refresh or a rebuilt
 // netlist re-scores everything (DESIGN.md §13.1).
+//
+// A pick leaves its list in O(1): take_pick() moves it out and leaves a
+// tombstone that the next round's stable compaction pass — which visits
+// every candidate anyway — drops, so the sort input is the same as if the
+// pick had been erased. The round's order and metric vectors live in the
+// memo and are reused from round to round (DESIGN.md §6.1).
 
 #include <cstddef>
 #include <cstdint>
@@ -109,19 +115,33 @@ class SelectionMemo {
   // kinds) to sort them by gate.
   PgaReads reads_;
   std::vector<std::uint64_t> keys_;
+
+  // Round scratch of select_power_red_subst, reused across the rounds.
+  friend std::size_t select_power_red_subst(
+      SelectionMemo&, std::vector<CandidateSub>*, const PowderOptions&,
+      const std::function<bool(const CandidateSub&)>&, SelectionStats*);
+  std::vector<std::size_t> order_;
+  std::vector<double> metric_;
 };
 
 /// One selection round over `*cands` under `options`' objective, shortlist
 /// and min_gain. Candidates whose validity is stale are re-checked with
 /// `keep`; those it rejects are dropped (the callback does the caller's
-/// accounting) and the rest keep their order. pg_a/pg_b of the survivors
-/// are re-scored where `memo` says something they read changed, pg_c where
-/// stale. Returns the index of the pick, or the candidate count when
-/// nothing helps.
+/// accounting), tombstones left by take_pick() are dropped silently, and
+/// the rest keep their order — one stable compaction pass. pg_a/pg_b of
+/// the survivors are re-scored where `memo` says something they read
+/// changed, pg_c where stale. Returns the index of the pick, or the
+/// candidate count when nothing helps.
 std::size_t select_power_red_subst(
     SelectionMemo& memo, std::vector<CandidateSub>* cands,
     const PowderOptions& options,
     const std::function<bool(const CandidateSub&)>& keep,
     SelectionStats* stats);
+
+/// Moves the pick out of `*cands` in O(1), leaving a tombstone in its slot
+/// that the next round's compaction drops, as if the pick had been erased.
+/// Most picks fail the delay check or the proof, so erasing each one would
+/// shift the whole list every round.
+CandidateSub take_pick(std::vector<CandidateSub>* cands, std::size_t best);
 
 }  // namespace powder

@@ -28,6 +28,23 @@ void PowerEstimator::estimate_all() {
   activity_.assign(nl.num_slots(), 0.0);
   for (GateId g = 0; g < nl.num_slots(); ++g)
     if (nl.alive(g) && nl.kind(g) != GateKind::kOutput) refresh_gate(g);
+  refresh_all_terms();
+}
+
+void PowerEstimator::refresh_term(GateId g) {
+  const Netlist& nl = sim_->netlist();
+  term_[g] = nl.alive(g) && nl.kind(g) != GateKind::kOutput
+                 ? signal_power(g)
+                 : 0.0;
+}
+
+void PowerEstimator::refresh_all_terms() {
+  const Netlist& nl = sim_->netlist();
+  term_.assign(nl.num_slots(), 0.0);
+  for (GateId g = 0; g < nl.num_slots(); ++g) refresh_term(g);
+  terms_epoch_ = nl.epoch();
+  std::lock_guard<std::mutex> lock(total_mutex_);
+  total_stale_ = true;
 }
 
 void PowerEstimator::refresh() {
@@ -42,6 +59,43 @@ void PowerEstimator::refresh() {
   for (GateId g : r.gates)
     if (nl.alive(g) && nl.kind(g) != GateKind::kOutput) refresh_gate(g);
   changes_.record(r.changed);
+  if (terms_epoch_ == nl.epoch() && r.gates.empty()) return;
+
+  // The gates whose load a delta changed: both drivers of a rewired pin,
+  // the fanins of an added, removed, revived or resized gate, and the
+  // subject of every structural delta (added, removed or revived).
+  const std::optional<std::vector<NetlistDelta>> deltas =
+      nl.deltas_since(terms_epoch_);
+  if (!deltas.has_value()) {
+    refresh_all_terms();
+    return;
+  }
+  term_.resize(nl.num_slots(), 0.0);
+  for (const NetlistDelta& d : *deltas) {
+    switch (d.kind) {
+      case DeltaKind::kFaninChanged:
+        refresh_term(d.old_driver);
+        refresh_term(d.new_driver);
+        break;
+      case DeltaKind::kCellChanged:
+        if (nl.alive(d.gate))
+          for (const GateId fi : nl.fanins(d.gate)) refresh_term(fi);
+        break;
+      case DeltaKind::kGateAdded:
+      case DeltaKind::kGateRemoved:
+      case DeltaKind::kGateRevived:
+        refresh_term(d.gate);
+        for (const GateId fi : d.fanins) refresh_term(fi);
+        break;
+      case DeltaKind::kRebuilt:
+        refresh_all_terms();
+        return;
+    }
+  }
+  for (const GateId g : r.gates) refresh_term(g);
+  terms_epoch_ = nl.epoch();
+  std::lock_guard<std::mutex> lock(total_mutex_);
+  total_stale_ = true;
 }
 
 double PowerEstimator::signal_power(GateId g) const {
@@ -50,12 +104,16 @@ double PowerEstimator::signal_power(GateId g) const {
 }
 
 double PowerEstimator::total_power() const {
-  const Netlist& nl = sim_->netlist();
-  double total = 0.0;
-  for (GateId g = 0; g < nl.num_slots(); ++g)
-    if (nl.alive(g) && nl.kind(g) != GateKind::kOutput)
-      total += signal_power(g);
-  return total;
+  POWDER_CHECK_MSG(terms_epoch_ == sim_->netlist().epoch(),
+                   "total_power() on a model that needs refresh()");
+  std::lock_guard<std::mutex> lock(total_mutex_);
+  if (total_stale_) {
+    double total = 0.0;
+    for (const double t : term_) total += t;
+    total_ = total;
+    total_stale_ = false;
+  }
+  return total_;
 }
 
 std::vector<double> propagate_signal_probs(

@@ -13,6 +13,8 @@
 //    used for cross-checks and the power-driven mapper),
 //  * exact via BDDs (tests; exponential worst case).
 
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -55,7 +57,8 @@ class PowerEstimator : public PowerModel {
   /// C(s) * E(s) for one signal, with C taken live from the netlist.
   double signal_power(GateId g) const override;
 
-  /// sum_i C(i)*E(i) over all live signals.
+  /// sum_i C(i)*E(i) over all live signals, served from a per-slot term
+  /// array (see below). Requires a refreshed estimator.
   double total_power() const override;
 
   /// The gates whose value words the simulator refreshes changed (every
@@ -68,7 +71,25 @@ class PowerEstimator : public PowerModel {
   GateMap<double> activity_;
   GateMap<double> prob_;
 
+  // Cached totals: term_[g] = signal_cap(g) * activity_[g] for every live
+  // non-PO gate and +0.0 elsewhere, current as of netlist epoch
+  // terms_epoch_. A refresh re-derives the terms of the gates it
+  // re-simulated and of the gates whose load a delta changed. The total
+  // is the slot-order sum of the array: the same additions in the same
+  // order as the full sum, plus +0.0 terms that leave it bitwise unchanged.
+  // It is re-summed lazily, under a mutex, after a term changed.
+  std::vector<double> term_;
+  std::uint64_t terms_epoch_ = kNoTermsEpoch;
+  mutable double total_ = 0.0;
+  mutable bool total_stale_ = true;
+  mutable std::mutex total_mutex_;
+  static constexpr std::uint64_t kNoTermsEpoch = ~std::uint64_t{0};
+
   void refresh_gate(GateId g);
+  void refresh_term(GateId g);
+  /// Re-derives every term (a full estimate, a rebuilt netlist or an
+  /// evicted delta log).
+  void refresh_all_terms();
 };
 
 /// Independence-assumption propagation: output probability of each gate

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <limits>
 
 #include "logic/cube.hpp"
 #include "trace/metrics.hpp"
@@ -251,12 +252,15 @@ Simulator::ScratchLease Simulator::acquire_scratch() const {
   const std::size_t slots = netlist_->num_slots();
   if (s->words.size() < slots * static_cast<std::size_t>(num_words_))
     s->words.resize(slots * static_cast<std::size_t>(num_words_), 0);
-  s->dirty.assign(slots, 0);
+  // Every flag is clear here: the previous lease cleared what it set.
+  if (s->dirty.size() < slots) s->dirty.resize(slots, 0);
   return ScratchLease(this, std::move(s));
 }
 
 void Simulator::release_scratch(std::unique_ptr<Scratch> scratch) const {
   if (!scratch) return;
+  for (const GateId g : scratch->dirty_set) scratch->dirty[g] = 0;
+  scratch->dirty_set.clear();
   std::lock_guard<std::mutex> lock(scratch_mutex_);
   scratch_pool_.push_back(std::move(scratch));
 }
@@ -356,33 +360,55 @@ bool Simulator::eval_gate_mixed(GateId g, std::uint64_t* dest,
   return moved != 0;
 }
 
-std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots,
-                                               std::vector<GateId>* changed) {
-  ensure_capacity();
-  std::vector<std::uint8_t> affected(netlist_->num_slots(), 0);
-  std::vector<GateId> stack;
-  for (GateId r : roots) {
-    if (!affected[r]) {
-      affected[r] = 1;
-      stack.push_back(r);
+void Simulator::cone_in_topo_order(ConeMarks& marks,
+                                   std::span<const GateId> seeds,
+                                   bool with_seeds,
+                                   std::vector<GateId>* order) const {
+  const std::size_t slots = netlist_->num_slots();
+  if (marks.stamp.size() < slots) marks.stamp.resize(slots, 0);
+  if (marks.epoch == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(marks.stamp.begin(), marks.stamp.end(), 0);
+    marks.epoch = 0;
+  }
+  const std::uint32_t in_cone = ++marks.epoch;
+  const std::span<const std::uint32_t> pos = netlist_->topo_positions();
+  std::vector<std::uint64_t>& keys = marks.keys;
+  std::vector<GateId>& stack = marks.stack;
+  keys.clear();
+  stack.clear();
+  auto visit = [&](GateId g) {
+    if (marks.stamp[g] == in_cone) return;
+    marks.stamp[g] = in_cone;
+    keys.push_back(std::uint64_t{pos[g]} << 32 | g);
+    stack.push_back(g);
+  };
+  for (const GateId g : seeds) {
+    if (with_seeds) {
+      visit(g);
+    } else {
+      for (const FanoutRef& br : netlist_->fanouts(g)) visit(br.gate);
     }
   }
   while (!stack.empty()) {
     const GateId g = stack.back();
     stack.pop_back();
-    for (const FanoutRef& br : netlist_->fanouts(g)) {
-      if (!affected[br.gate]) {
-        affected[br.gate] = 1;
-        stack.push_back(br.gate);
-      }
-    }
+    for (const FanoutRef& br : netlist_->fanouts(g)) visit(br.gate);
   }
+  // Positions are distinct, so the sort is total and the gate bits ride
+  // along.
+  std::sort(keys.begin(), keys.end());
+  order->clear();
+  for (const std::uint64_t k : keys) order->push_back(static_cast<GateId>(k));
+}
+
+std::vector<GateId> Simulator::resimulate_from(std::span<const GateId> roots,
+                                               std::vector<GateId>* changed) {
+  ensure_capacity();
   std::vector<GateId> order;
-  for (GateId g : netlist_->topo_order()) {
-    if (!affected[g]) continue;
-    if (netlist_->kind(g) == GateKind::kInput) continue;
-    order.push_back(g);
-  }
+  cone_in_topo_order(resim_cone_, roots, true, &order);
+  std::erase_if(order, [&](GateId g) {
+    return netlist_->kind(g) == GateKind::kInput;
+  });
   // moved[i]: some word range of order[i] changed. Ranges of one gate run
   // on different lanes, so a lane that finds a change marks it atomically.
   std::vector<std::uint8_t> moved(order.size(), 0);
@@ -422,29 +448,8 @@ std::vector<std::uint64_t> Simulator::propagate_diff(
   // Mark the TFO of the frontier as potentially dirty and re-evaluate it in
   // topological order against the mixed view; gates whose faulty value
   // equals the good value are un-marked to prune propagation.
-  std::vector<std::uint8_t> affected(netlist_->num_slots(), 0);
-  std::vector<GateId> stack;
-  for (GateId g : frontier) {
-    for (const FanoutRef& br : netlist_->fanouts(g)) {
-      if (!affected[br.gate]) {
-        affected[br.gate] = 1;
-        stack.push_back(br.gate);
-      }
-    }
-  }
-  while (!stack.empty()) {
-    const GateId g = stack.back();
-    stack.pop_back();
-    for (const FanoutRef& br : netlist_->fanouts(g)) {
-      if (!affected[br.gate]) {
-        affected[br.gate] = 1;
-        stack.push_back(br.gate);
-      }
-    }
-  }
-  std::vector<GateId> order;
-  for (GateId g : netlist_->topo_order())
-    if (affected[g]) order.push_back(g);
+  std::vector<GateId>& order = scratch.order;
+  cone_in_topo_order(scratch.cone, frontier, false, &order);
 
   std::vector<std::uint64_t> diff(static_cast<std::size_t>(num_words_), 0);
   const int shards = word_shards();
@@ -464,7 +469,7 @@ std::vector<std::uint64_t> Simulator::propagate_diff(
           break;
         }
       if (!any) continue;  // fault effect died here
-      scratch.dirty[g] = 1;
+      scratch.set_dirty(g);
       if (changed != nullptr) changed->push_back(g);
       if (netlist_->kind(g) == GateKind::kOutput)
         for (int w = 0; w < num_words_; ++w)
@@ -479,8 +484,10 @@ std::vector<std::uint64_t> Simulator::propagate_diff(
   // equal to the good values there, so downstream reads see identical bits
   // either way and every lane's slice of `scratch.words` matches the serial
   // computation exactly.
-  std::vector<std::vector<std::uint8_t>> lane_dirty(
-      static_cast<std::size_t>(shards));
+  std::vector<std::vector<std::uint8_t>>& lane_dirty = scratch.lane_dirty;
+  if (lane_dirty.size() < static_cast<std::size_t>(shards))
+    lane_dirty.resize(static_cast<std::size_t>(shards));
+  const std::size_t slots = scratch.dirty.size();
   pool_->for_shards(shards, [&](int shard, int num_shards) {
     const std::size_t n = static_cast<std::size_t>(num_words_);
     const std::size_t lo = n * static_cast<std::size_t>(shard) /
@@ -488,7 +495,9 @@ std::vector<std::uint64_t> Simulator::propagate_diff(
     const std::size_t hi = n * (static_cast<std::size_t>(shard) + 1) /
                            static_cast<std::size_t>(num_shards);
     std::vector<std::uint8_t>& dirty = lane_dirty[static_cast<std::size_t>(shard)];
-    dirty = scratch.dirty;  // seed flags from the caller
+    if (dirty.size() < slots) dirty.resize(slots, 0);
+    // Seed flags from the caller: the flags its lease set so far.
+    for (const GateId g : scratch.dirty_set) dirty[g] = 1;
     for (GateId g : order) {
       std::uint64_t* faulty =
           scratch.words.data() + static_cast<std::size_t>(g) * num_words_;
@@ -510,16 +519,24 @@ std::vector<std::uint64_t> Simulator::propagate_diff(
   // Merge: a gate changed iff any lane saw a change in its word range. The
   // seeds stay set in every lane, and no seed is in `order` (the netlist is
   // acyclic), so OR-ing lane flags over `order` recovers the serial result.
+  const std::span<std::vector<std::uint8_t>> lanes(
+      lane_dirty.data(), static_cast<std::size_t>(shards));
   for (GateId g : order) {
     bool any = false;
-    for (const std::vector<std::uint8_t>& d : lane_dirty)
+    for (const std::vector<std::uint8_t>& d : lanes)
       if (d[g]) {
         any = true;
         break;
       }
     if (!any) continue;
-    scratch.dirty[g] = 1;
+    scratch.set_dirty(g);
     if (changed != nullptr) changed->push_back(g);
+  }
+  // Leave the lane flags clear for the next pass: only seeds and cone
+  // gates were set.
+  for (std::vector<std::uint8_t>& d : lanes) {
+    for (const GateId g : scratch.dirty_set) d[g] = 0;
+    for (const GateId g : order) d[g] = 0;
   }
   return diff;
 }
@@ -535,7 +552,7 @@ std::vector<std::pair<GateId, double>> Simulator::trial_new_probs(
     std::uint64_t* f =
         s.words.data() + static_cast<std::size_t>(site) * num_words_;
     std::copy(replacement.begin(), replacement.end(), f);
-    s.dirty[site] = 1;
+    s.set_dirty(site);
     (void)propagate_diff(s, {site}, &changed);
   } else {
     // Pre-evaluate the branch's sink against the replacement, then let the
@@ -571,7 +588,7 @@ std::vector<std::pair<GateId, double>> Simulator::trial_new_probs(
         break;
       }
     if (any) {
-      s.dirty[sink] = 1;
+      s.set_dirty(sink);
       changed.push_back(sink);
       (void)propagate_diff(s, {sink}, &changed);
     }
@@ -596,7 +613,7 @@ std::vector<std::uint64_t> Simulator::stem_observability(GateId g) const {
   const std::uint64_t* good =
       values_.data() + static_cast<std::size_t>(g) * num_words_;
   for (int w = 0; w < num_words_; ++w) f[w] = ~good[w];
-  s.dirty[g] = 1;
+  s.set_dirty(g);
   return propagate_diff(s, {g});
 }
 
@@ -621,7 +638,7 @@ std::vector<std::uint64_t> Simulator::output_diff_with_replacement(
     std::uint64_t* f =
         s.words.data() + static_cast<std::size_t>(site) * num_words_;
     std::copy(replacement.begin(), replacement.end(), f);
-    s.dirty[site] = 1;
+    s.set_dirty(site);
     return propagate_diff(s, {site});
   }
   // Branch replacement: only the sink gate sees the new value on one pin.
@@ -658,7 +675,7 @@ std::vector<std::uint64_t> Simulator::output_diff_with_replacement(
       break;
     }
   if (!any) return diff;
-  s.dirty[sink] = 1;
+  s.set_dirty(sink);
   if (netlist_->kind(sink) == GateKind::kOutput)
     for (int w = 0; w < num_words_; ++w)
       diff[static_cast<std::size_t>(w)] |= f[w] ^ good[w];
@@ -666,6 +683,58 @@ std::vector<std::uint64_t> Simulator::output_diff_with_replacement(
   for (int w = 0; w < num_words_; ++w)
     diff[static_cast<std::size_t>(w)] |= deeper[static_cast<std::size_t>(w)];
   return diff;
+}
+
+// ---------------------------------------------------------------------------
+// PoSignatureGuard
+// ---------------------------------------------------------------------------
+
+PoSignatureGuard::PoSignatureGuard(const Simulator& sim)
+    : sim_(&sim), outputs_(sim.netlist().outputs()) {
+  po_index_.assign(sim.netlist().num_slots(), kNotPo);
+  for (std::size_t k = 0; k < outputs_.size(); ++k) {
+    po_index_[outputs_[k]] = static_cast<std::uint32_t>(k);
+    const auto words = sim.value(outputs_[k]);
+    snapshot_.insert(snapshot_.end(), words.begin(), words.end());
+  }
+}
+
+void PoSignatureGuard::note(const Simulator::RefreshResult& refreshed) {
+  if (refreshed.full) all_moved_ = true;
+  if (all_moved_) return;
+  for (const GateId g : refreshed.changed)
+    if (g < po_index_.size() && po_index_[g] != kNotPo)
+      moved_.push_back(po_index_[g]);
+  // Unchecked for longer than a full compare costs: compare them all.
+  if (moved_.size() > outputs_.size()) {
+    all_moved_ = true;
+    moved_.clear();
+  }
+}
+
+bool PoSignatureGuard::matches(std::size_t po) const {
+  const auto words = sim_->value(outputs_[po]);
+  return std::equal(words.begin(), words.end(),
+                    snapshot_.begin() + static_cast<std::ptrdiff_t>(
+                                            po * words.size()));
+}
+
+bool PoSignatureGuard::ok() {
+  if (all_moved_) {
+    if (!ok_full()) return false;
+  } else {
+    for (const std::uint32_t po : moved_)
+      if (!matches(po)) return false;
+  }
+  moved_.clear();
+  all_moved_ = false;
+  return true;
+}
+
+bool PoSignatureGuard::ok_full() const {
+  for (std::size_t po = 0; po < outputs_.size(); ++po)
+    if (!matches(po)) return false;
+  return true;
 }
 
 }  // namespace powder

@@ -14,6 +14,14 @@
 // through by hand. Queries require a clean simulator (refresh() after any
 // mutation); the flip-and-diff passes check this.
 //
+// Cost model (DESIGN.md §6.1): every flip-and-diff pass and every
+// incremental refresh costs O(cone), not O(netlist), apart from the
+// netlist's own recomputation of its topological order after a structural
+// change. The cone is marked with epoch stamps and sorted by its cached
+// topological positions, which reproduces the order a scan of the whole
+// topological order would give, and a scratch lease clears only the flags
+// it set.
+//
 // Threading model: the const query methods (value, signal_prob, the
 // observability / replacement-diff / trial-probability passes) are safe to
 // call from several threads at once — every pass works on a scratch buffer
@@ -169,12 +177,36 @@ class Simulator final : public NetlistObserver {
   const CellEvaluator& evaluator() const { return evaluator_; }
 
  private:
-  /// One flip-and-diff working set: a full values-shaped word array plus
-  /// the per-gate dirty flags. Passes acquire one from the pool below so
-  /// concurrent const queries never share mutable state.
+  /// Epoch-stamped cone marks: stamp[g] == epoch while g is in the cone
+  /// being collected. Each cone takes a fresh epoch, so nothing is cleared
+  /// between cones; the table is refilled only when the epoch wraps.
+  struct ConeMarks {
+    std::vector<std::uint32_t> stamp;  // slots
+    std::uint32_t epoch = 0;
+    std::vector<GateId> stack;
+    std::vector<std::uint64_t> keys;  // (topological position, gate)
+  };
+
+  /// One flip-and-diff working set: a full values-shaped word array, the
+  /// per-gate dirty flags with the list of the flags set, and the cone
+  /// marks. A lease starts with every flag clear and clears, on release,
+  /// only the flags it set, so neither acquiring nor releasing touches the
+  /// whole netlist. The marks belong to the lease, not the simulator,
+  /// because harvest shards run flip-and-diff passes concurrently.
   struct Scratch {
     std::vector<std::uint64_t> words;  // slots * num_words_
     std::vector<std::uint8_t> dirty;   // slots; 1 = read words, not values_
+    std::vector<GateId> dirty_set;     // the gates whose flag is set
+    ConeMarks cone;
+    std::vector<GateId> order;  // the cone of the current pass
+    // Per-lane dirty flags of a sharded pass (slots each; kept clear
+    // between passes like `dirty`).
+    std::vector<std::vector<std::uint8_t>> lane_dirty;
+
+    void set_dirty(GateId g) {
+      dirty[g] = 1;
+      dirty_set.push_back(g);
+    }
   };
 
   /// RAII lease of a Scratch from the simulator's pool.
@@ -193,6 +225,8 @@ class Simulator final : public NetlistObserver {
     std::unique_ptr<Scratch> scratch_;
   };
 
+  friend struct SimulatorTestAccess;
+
   const Netlist* netlist_;
   CellEvaluator evaluator_;
   int num_words_;
@@ -209,6 +243,9 @@ class Simulator final : public NetlistObserver {
 
   mutable std::mutex scratch_mutex_;
   mutable std::vector<std::unique_ptr<Scratch>> scratch_pool_;
+
+  // Cone marks of resimulate_from (single writer).
+  ConeMarks resim_cone_;
 
   // Dirty state accumulated by on_delta (mutated on the single writer
   // thread only; queries never run concurrently with mutations).
@@ -228,9 +265,18 @@ class Simulator final : public NetlistObserver {
 
   /// Recomputes the values of `roots` and their transitive fanout only;
   /// returns the re-evaluated gates in topological order and appends to
-  /// `*changed` those whose words moved.
+  /// `*changed` those whose words moved. O(cone): the cone is marked with
+  /// `resim_cone_` and sorted by topological position.
   std::vector<GateId> resimulate_from(std::span<const GateId> roots,
                                       std::vector<GateId>* changed);
+
+  /// Collects into `*order`, in topological order, the transitive fanout
+  /// of `seeds` (with the seeds themselves when `with_seeds`): a DFS marks
+  /// the cone in `marks`, then the cone is sorted by
+  /// Netlist::topo_positions(). The result is exactly the subsequence of
+  /// topo_order() a filter over the whole order would produce.
+  void cone_in_topo_order(ConeMarks& marks, std::span<const GateId> seeds,
+                          bool with_seeds, std::vector<GateId>* order) const;
 
   ScratchLease acquire_scratch() const;
   void release_scratch(std::unique_ptr<Scratch> scratch) const;
@@ -249,15 +295,48 @@ class Simulator final : public NetlistObserver {
                        int w1) const;
 
   /// Propagates preset scratch values of the gates in `dirty` through the
-  /// TFO; returns OR over outputs of (faulty ^ good). When `changed` is
-  /// non-null it collects, in topological order, the gates whose value
-  /// vector changed (their new values live in scratch.words until the
-  /// lease is released). Shards the per-gate evaluation across word ranges
-  /// when a pool is attached and the call does not already run on a pool
-  /// worker; the result is bit-identical either way.
+  /// TFO of `frontier`; returns OR over outputs of (faulty ^ good). When
+  /// `changed` is non-null it collects, in topological order, the gates
+  /// whose value vector changed (their new values live in scratch.words
+  /// until the lease is released). The work is O(cone): the TFO is marked
+  /// with the lease's stamps and ordered by topological position, never by
+  /// a scan of the whole order. Shards the per-gate evaluation across word
+  /// ranges when a pool is attached and the call does not already run on a
+  /// pool worker; the result is bit-identical either way.
   std::vector<std::uint64_t> propagate_diff(
       Scratch& scratch, const std::vector<GateId>& frontier,
       std::vector<GateId>* changed = nullptr) const;
+};
+
+/// The post-commit primary-output signature guard over one simulator. It
+/// snapshots every PO's value words once; a permissible edit never moves
+/// them, because the PI stimulus is frozen. `note()` takes each refresh of
+/// the simulator, and `ok()` compares only the POs whose words a refresh
+/// reported moved since the last passing check (every PO after a full
+/// refresh). The set is cleared only when a check passes, so every PO
+/// outside it still equals its snapshot. `ok_full()` compares every PO
+/// (the end-of-run guard). The simulator must outlive the guard.
+class PoSignatureGuard {
+ public:
+  explicit PoSignatureGuard(const Simulator& sim);
+
+  /// Records the POs one refresh of the simulator moved.
+  void note(const Simulator::RefreshResult& refreshed);
+  /// True when every PO matches its snapshot; compares the moved ones only.
+  bool ok();
+  /// True when every PO matches its snapshot; compares all of them.
+  bool ok_full() const;
+
+ private:
+  static constexpr std::uint32_t kNotPo = ~std::uint32_t{0};
+  bool matches(std::size_t po) const;
+
+  const Simulator* sim_;
+  std::vector<GateId> outputs_;
+  std::vector<std::uint32_t> po_index_;  // slot -> index in outputs_
+  std::vector<std::uint64_t> snapshot_;  // outputs_.size() * num_words
+  std::vector<std::uint32_t> moved_;     // indices into outputs_ (may repeat)
+  bool all_moved_ = false;
 };
 
 }  // namespace powder

@@ -7,6 +7,9 @@
 // the same survivors in the same order with pg_a/pg_b/pg_c and area gains
 // equal bit for bit, and the same pick.
 //
+// The memo's list takes its picks the optimizer's way (take_pick leaves a
+// tombstone the next round drops); the reference erases them.
+//
 // Inputs: greedy picks (select -> delay -> proof -> commit, the optimizer's
 // order) on the quick suite under the zero-delay model, the timed model at
 // 64 vector pairs, a delay limit of 1.0 and the area objective; scale500;
@@ -231,8 +234,9 @@ struct SelectionBench {
                                   std::to_string(r);
         const std::size_t best = round(memo, &fast, &ref, where);
         if (::testing::Test::HasFailure() || best >= fast.size()) break;
-        const CandidateSub chosen = fast[best];
-        fast.erase(fast.begin() + static_cast<std::ptrdiff_t>(best));
+        // The optimizer's pick leaves a tombstone that the next round's
+        // compaction drops; the reference erases it.
+        const CandidateSub chosen = take_pick(&fast, best);
         ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best));
         if (!delay_ok(chosen)) continue;
         AtpgChecker atpg(nl);
