@@ -1,6 +1,7 @@
 #include "power/glitch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <limits>
 
@@ -67,43 +68,55 @@ struct OverlayView {
   }
 };
 
-/// A replay cone compiled to local ids for the replays' inner loop: the
-/// cone's gates are 0..size-1 in topological order, its boundary follows.
-/// Fanout lists hold only sinks inside the cone, so the event loop needs no
-/// membership test.
+/// A replay cone compiled to local ids for the gate-major pass: the cone's
+/// gates are 0..size-1 in topological order, its boundary follows.
 struct LocalCone {
   std::size_t size = 0;
   std::vector<GateId> gate;  ///< local id -> GateId
-  std::vector<std::uint32_t> fanin_begin, fanin;    ///< cone gates, CSR
-  std::vector<std::uint32_t> fanout_begin, fanout;  ///< every node, CSR
+  std::vector<std::uint32_t> fanin_begin, fanin;  ///< cone gates, CSR
   /// Truth table of a cone gate with at most six inputs (a PO reads its
   /// one fanin: table 0b10); wider cells go through `wide`.
   std::vector<std::uint64_t> table;
   std::vector<const TruthTable*> wide;
   std::vector<double> delay;
+  std::vector<std::uint8_t> fans_out;  ///< the cone gate drives a gate
 
   void clear() {
     size = 0;
     gate.clear();
     fanin_begin.assign(1, 0);
     fanin.clear();
-    fanout_begin.assign(1, 0);
-    fanout.clear();
     table.clear();
     wide.clear();
     delay.clear();
+    fans_out.clear();
   }
-};
 
-/// The event loop's view of a LocalCone.
-struct LocalView {
-  const LocalCone& c;
-
-  double delay(GateId i) const { return c.delay[i]; }
-  template <class Fn>
-  void for_each_fanout(GateId i, Fn&& fn) const {
-    for (std::uint32_t e = c.fanout_begin[i]; e < c.fanout_begin[i + 1]; ++e)
-      fn(c.fanout[e]);
+  /// The cone gate's value in the 64 pairs of one word; in[pin] holds its
+  /// fanins' words.
+  std::uint64_t eval_word(std::uint32_t i, const std::uint64_t* in) const {
+    const std::size_t n = fanin_begin[i + 1] - fanin_begin[i];
+    if (wide[i] != nullptr) {
+      std::uint64_t out = 0;
+      for (int bit = 0; bit < 64; ++bit) {
+        std::uint64_t idx = 0;
+        for (std::size_t pin = 0; pin < n; ++pin)
+          idx |= ((in[pin] >> bit) & 1) << pin;
+        out |= static_cast<std::uint64_t>(wide[i]->bit(idx)) << bit;
+      }
+      return out;
+    }
+    // Shannon expansion, one input at a time: m[j] is the cofactor for the
+    // assignment j of the inputs not yet consumed.
+    std::uint64_t m[64];
+    std::size_t rows = std::size_t{1} << n;
+    for (std::size_t j = 0; j < rows; ++j) m[j] = 0 - ((table[i] >> j) & 1);
+    for (std::size_t pin = 0; pin < n; ++pin) {
+      rows /= 2;
+      for (std::size_t j = 0; j < rows; ++j)
+        m[j] = (in[pin] & m[2 * j + 1]) | (~in[pin] & m[2 * j]);
+    }
+    return m[0];
   }
 };
 
@@ -132,17 +145,6 @@ std::uint8_t evaluate(const LiveView& v, GateId g,
   return nl.cell_of(g).function.bit(idx) ? 1 : 0;
 }
 
-std::uint8_t evaluate(const LocalView& v, GateId i,
-                      const std::vector<std::uint8_t>& val) {
-  const LocalCone& c = v.c;
-  std::uint64_t idx = 0;
-  int pin = 0;
-  for (std::uint32_t e = c.fanin_begin[i]; e < c.fanin_begin[i + 1]; ++e)
-    idx |= static_cast<std::uint64_t>(val[c.fanin[e]]) << pin++;
-  if (c.wide[i] != nullptr) return c.wide[i]->bit(idx) ? 1 : 0;
-  return static_cast<std::uint8_t>((c.table[i] >> idx) & 1);
-}
-
 /// Steady-state evaluation of the non-input gates of `order` (a
 /// topological order); the values they read must already be in `val`.
 template <class View>
@@ -158,13 +160,6 @@ struct Event {
   GateId gate;
   std::uint8_t value;
   bool operator>(const Event& o) const { return time > o.time; }
-};
-
-/// A recorded transition fed into a replay: at `time` the signal of `gate`,
-/// which the replay does not simulate, flips.
-struct SourceEvent {
-  double time;
-  GateId gate;
 };
 
 /// Working state of the event loop. The batch serial only grows, so the
@@ -200,52 +195,37 @@ struct EdgeOutcome {
   bool tie = false;
 };
 
-/// The event loop behind both the full estimate and the cone replays:
-/// propagates one v1 -> v2 edge under transport delays. `val` holds the
-/// settled v1 values and the heap the initial events; `sources` are
-/// transitions of signals the loop does not simulate, in time order. When a
-/// signal changes, each fanout gate the view lists is re-evaluated against
-/// the *current* values and its new output scheduled after its own delay.
-/// Events sharing a timestamp are applied as one batch and the affected
-/// gates re-evaluated once — simultaneous input changes must not be
-/// serialized into phantom glitches. Every change a heap event
-/// makes is reported to on_transition(g, time).
+/// The event loop of a full run: propagates one v1 -> v2 edge under
+/// transport delays. `val` holds the settled v1 values and the heap the
+/// initial events. When a signal changes, each fanout gate the view lists
+/// is re-evaluated against the *current* values and its new output
+/// scheduled after its own delay. Events sharing a timestamp are applied as
+/// one batch and the affected gates re-evaluated once — simultaneous input
+/// changes must not be serialized into phantom glitches. Every change an
+/// event makes is reported to on_transition(g, time).
 template <class View, class OnTransition>
-EdgeOutcome run_edge(const View& v, std::span<const SourceEvent> sources,
-                     long budget,
-                     bool stop_on_tie, std::vector<std::uint8_t>& val,
+EdgeOutcome run_edge(const View& v, long budget, std::vector<std::uint8_t>& val,
                      EdgeScratch& s, OnTransition&& on_transition) {
   EdgeOutcome out;
   std::vector<Event>& heap = s.heap;
-  std::size_t next = 0;
-  auto dirty_fanouts = [&](GateId g) {
-    v.for_each_fanout(g, [&](GateId f) { s.dirty.push_back(f); });
-  };
-  while ((!heap.empty() || next < sources.size()) && out.batches < budget) {
+  while (!heap.empty() && out.batches < budget) {
     ++out.batches;
     ++s.batch;
-    double now = heap.empty() ? sources[next].time : heap.front().time;
-    if (next < sources.size()) now = std::min(now, sources[next].time);
+    const double now = heap.front().time;
     s.dirty.clear();
-    for (; next < sources.size() && sources[next].time == now; ++next) {
-      val[sources[next].gate] ^= 1;
-      dirty_fanouts(sources[next].gate);
-    }
     while (!heap.empty() && heap.front().time == now) {
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
       const Event ev = heap.back();
       heap.pop_back();
       if (s.last_batch[ev.gate] == s.batch &&
-          s.last_value[ev.gate] != ev.value) {
+          s.last_value[ev.gate] != ev.value)
         out.tie = true;
-        if (stop_on_tie) return out;
-      }
       s.last_batch[ev.gate] = s.batch;
       s.last_value[ev.gate] = ev.value;
       if (val[ev.gate] == ev.value) continue;  // absorbed
       val[ev.gate] = ev.value;
       on_transition(ev.gate, now);
-      dirty_fanouts(ev.gate);
+      v.for_each_fanout(ev.gate, [&](GateId f) { s.dirty.push_back(f); });
     }
     // Unique-ify cheaply; duplicate evaluations would be harmless but
     // would schedule duplicate (identical) events.
@@ -254,7 +234,7 @@ EdgeOutcome run_edge(const View& v, std::span<const SourceEvent> sources,
     for (GateId g : s.dirty)
       s.push(Event{now + v.delay(g), g, evaluate(v, g, val)});
   }
-  out.overflow = !heap.empty() || next < sources.size();
+  out.overflow = !heap.empty();
   return out;
 }
 
@@ -279,6 +259,12 @@ void put_pair_bit(std::vector<std::uint64_t>* bits, int words, GateId row,
               static_cast<std::size_t>(pair / 64)];
   const std::uint64_t mask = 1ull << (pair % 64);
   w = value ? w | mask : w & ~mask;
+}
+
+/// Grows `v`'s capacity to at least `n`, geometrically.
+template <class T>
+void reserve_at_least(std::vector<T>* v, std::size_t n) {
+  if (v->capacity() < n) v->reserve(std::max(n, 2 * v->capacity()));
 }
 
 /// Fills the estimate's activities and totals from per-gate transition
@@ -427,8 +413,7 @@ GlitchEstimate estimate_glitch_power(const Netlist& netlist,
       if (val[g] != want) scratch.push(Event{0.0, g, want});
     }
     const EdgeOutcome edge = run_edge(
-        view, {}, budget, /*stop_on_tie=*/false, val, scratch,
-        [&](GateId g, double t) {
+        view, budget, val, scratch, [&](GateId g, double t) {
           ++timed_transitions[g];
           if (trace != nullptr)
             recorded.push_back(
@@ -479,8 +464,9 @@ GlitchEstimate estimate_glitch_power(const Netlist& netlist,
   return out;
 }
 
-/// Scratch of the cone replays. Every table is indexed by GateId, grows
-/// with the netlist and is stamped or overwritten per call, never cleared.
+/// Scratch of the cone replays. The GateId-indexed tables grow with the
+/// netlist and are stamped or overwritten per call, never cleared; the
+/// others are sized to the cone and the pairs.
 struct GlitchReplayer::Scratch {
   const Netlist* netlist = nullptr;  ///< whose inputs the full runs drive
   EditOverlay edit;
@@ -496,21 +482,58 @@ struct GlitchReplayer::Scratch {
   std::vector<GateId> cone;   ///< the cone, topologically ordered
   LocalCone local;            ///< the cone and its boundary, compiled
   std::vector<std::uint32_t> local_id;  ///< GateId -> id in `local`
-  std::vector<std::uint8_t> local_val;
-  EdgeScratch local_edge;
-  std::vector<std::uint8_t> cone_v1;  ///< settled v1 of the cone, per pair
   std::vector<GateId> order;
   std::vector<GateId> boundary;
   std::vector<GateId> changed;
-  std::vector<std::uint32_t> cursor;
-  std::vector<SourceEvent> sources;
-  /// Transitions of the pair being simulated, in the order they happen.
+
+  // The gate-major pass (replay()).
+  /// Settled v1 of cone gate i in pair p: bit p % 64 of
+  /// cone_v1[i * words + p / 64], laid out like GlitchTrace::v1.
+  std::vector<std::uint64_t> cone_v1;
+  /// Transitions of cone gate i, ordered by (pair, time), occupy
+  /// [list_begin[i], list_begin[i + 1]) of `list_time` and `list_pair`.
+  /// Pairs marked `full` after the pass may have left entries behind.
+  std::vector<std::uint32_t> list_begin;
+  std::vector<double> list_time;
+  std::vector<std::uint32_t> list_pair;
+  /// A fanin pin of the gate being replayed: its cursor into the driver's
+  /// transition list, and the driver's v1 row.
+  struct Pin {
+    const double* time;
+    const std::uint32_t* pair;
+    const std::uint32_t* end;
+    const std::uint64_t* v1;
+  };
+  std::vector<Pin> pins;
+  std::vector<std::uint64_t> pin_words;
+  /// Per pair: run in full rather than replayed. During a pass, the pairs
+  /// left out of it.
+  std::vector<std::uint8_t> full;
+  std::vector<std::uint32_t> evals;    ///< cone-gate evaluations per pair
+  std::vector<std::uint32_t> sources;  ///< boundary transitions per pair
+  std::vector<long> pair_batches;      ///< batch counts (count_batches())
+  /// A batch the event loop forms: the first one at a time (sub 0), or the
+  /// second one a zero-delay evaluation opens at its own time (sub 1). The
+  /// key orders like (sub, time): times are sums of non-negative delays, so
+  /// their bit patterns order like them and leave the sign bit free.
+  static std::uint64_t batch_key(double time, bool sub) {
+    return std::bit_cast<std::uint64_t>(time) |
+           (static_cast<std::uint64_t>(sub) << 63);
+  }
+  struct Stamp {
+    std::uint64_t key;
+    std::uint32_t pair;
+  };
+  std::vector<Stamp> evaluated;  ///< one per evaluation of a logged pass
+  std::vector<std::uint64_t> stamps;  ///< count_batches(): keys by pair
+  std::vector<std::uint32_t> stamp_begin, stamp_fill;
+
+  /// Transitions of a pair run in full, in the order they happen.
   struct Flip {
     GateId gate;
     double time;
   };
   std::vector<Flip> flips;
-  std::vector<std::uint8_t> full_pair;
   // refresh(): the new transitions, and the rebuilt transition lists.
   struct Recorded {
     std::uint32_t pair;
@@ -518,7 +541,8 @@ struct GlitchReplayer::Scratch {
     double time;
   };
   std::vector<Recorded> recorded;
-  std::vector<GateId> dead;  ///< seeds that are no longer alive
+  std::vector<GateId> dead;     ///< seeds that are no longer alive
+  std::vector<GateId> touched;  ///< slots whose record the refresh rewrote
   std::vector<std::uint32_t> offset;
   std::vector<double> time;
   std::vector<std::uint32_t> pair_of;
@@ -550,9 +574,10 @@ struct GlitchReplayer::Scratch {
 
   /// Closes the seeds in `cone` under fanout, orders the cone
   /// topologically, collects its boundary (the fanins outside it) and
-  /// compiles both into `local`. Returns false when a boundary gate with
-  /// fanins has zero delay: it switches in a later batch than its recorded
-  /// transition's timestamp suggests, so no pair of this cone may be
+  /// compiles both into `local`. Returns false when a gate with fanins and
+  /// zero delay lies on the boundary, or inside the cone with a fanout: it
+  /// switches in a later batch than the timestamp of its change suggests,
+  /// which the pass cannot reproduce, so no pair of this cone may be
   /// replayed. Inputs and fanin-less cells (constants) are exempt: they
   /// never switch after t = 0.
   template <class View>
@@ -577,12 +602,15 @@ struct GlitchReplayer::Scratch {
 
     boundary.clear();
     bool replayable = true;
+    auto zero_delay = [&](GateId g) {
+      return v.num_fanins(g) > 0 && !(v.delay(g) > 0.0);
+    };
     for (const GateId g : cone)
       v.for_each_fanin(g, [&](GateId fi) {
         if (mark[fi] == stamp || mark[fi] == stamp + 1) return;
         mark[fi] = stamp + 1;
         boundary.push_back(fi);
-        if (v.num_fanins(fi) > 0 && !(v.delay(fi) > 0.0)) replayable = false;
+        if (zero_delay(fi)) replayable = false;
       });
 
     local.clear();
@@ -602,107 +630,251 @@ struct GlitchReplayer::Scratch {
       local.table.push_back(output ? 0b10 : narrow ? f->words()[0] : 0);
       local.wide.push_back(narrow ? nullptr : f);
       local.delay.push_back(v.delay(g));
+      bool fans_out = false;
+      v.for_each_fanout(g, [&](GateId) { fans_out = true; });
+      local.fans_out.push_back(fans_out ? 1 : 0);
+      if (fans_out && zero_delay(g)) replayable = false;
     }
-    for (const GateId g : local.gate) {
-      v.for_each_fanout(g, [&](GateId f) {
-        if (member(f)) local.fanout.push_back(local_id[f]);
-      });
-      local.fanout_begin.push_back(
-          static_cast<std::uint32_t>(local.fanout.size()));
-    }
-    if (local_val.size() < local.gate.size()) {
-      local_val.resize(local.gate.size(), 0);
-      local_edge.ensure(local.gate.size());
-    }
-    cone_v1.resize(cone.size());
     return replayable;
   }
 
-  /// Simulates every pair of `trace`: the cone alone (compiled) against its
-  /// boundary's recorded transitions where that reproduces a full run
-  /// exactly, the whole netlist through `v` (`settle_all` settles it once
-  /// the inputs hold their v1 values) where it does not. on_settled(p)
-  /// runs once the cone's v1 values are in `cone_v1`; on_pair(p, full,
-  /// edge) once the pair's transitions are in `flips` (the cone's for a
-  /// replay, every gate's for a full run). Returns the number of pairs run
-  /// in full.
-  template <class View, class SettleAll, class OnSettled, class OnPair>
-  long run_pairs(const View& v, const GlitchTrace& trace, long budget,
-                 bool replayable, SettleAll&& settle_all,
-                 OnSettled&& on_settled, OnPair&& on_pair) {
-    const int pairs = trace.pairs;
-    const int words = trace.words;
-    const LocalView lv{local};
-    const std::uint32_t k = static_cast<std::uint32_t>(local.size);
-    cursor.resize(boundary.size());
-    for (std::size_t i = 0; i < boundary.size(); ++i)
-      cursor[i] = trace.offset[boundary[i]];
-    long fallbacks = 0;
-    for (int p = 0; p < pairs; ++p) {
-      const std::size_t sp = static_cast<std::size_t>(p);
-      // Replay the cone against the boundary's recorded transitions. A
-      // full run forms no more batches than the record plus the replay, so
-      // a replay within the remaining budget cannot hide an overflow.
-      if (replayable && trace.replayable[sp] && trace.batches[sp] < budget) {
-        sources.clear();
-        for (std::size_t i = 0; i < boundary.size(); ++i) {
-          const GateId b = boundary[i];
-          const GateId id = k + static_cast<GateId>(i);
-          local_val[id] = pair_bit(trace.v1, words, b, p) ? 1 : 0;
-          std::uint32_t& c = cursor[i];
-          const std::uint32_t end = trace.offset[b + 1];
-          while (c < end && trace.pair_of[c] < static_cast<std::uint32_t>(p))
-            ++c;
-          for (; c < end && trace.pair_of[c] == static_cast<std::uint32_t>(p);
-               ++c)
-            sources.push_back(SourceEvent{trace.time[c], id});
-        }
-        std::sort(sources.begin(), sources.end(),
-                  [](const SourceEvent& x, const SourceEvent& y) {
-                    return x.time < y.time ||
-                           (x.time == y.time && x.gate < y.gate);
-                  });
-        for (GateId i = 0; i < k; ++i) {
-          local_val[i] = evaluate(lv, i, local_val);
-          cone_v1[i] = local_val[i];
-        }
-        on_settled(p);
-        local_edge.heap.clear();
-        flips.clear();
-        const EdgeOutcome out = run_edge(
-            lv, sources, budget - trace.batches[sp], /*stop_on_tie=*/true,
-            local_val, local_edge, [&](GateId i, double t) {
-              flips.push_back(Flip{local.gate[i], t});
-            });
-        if (!out.tie && !out.overflow) {
-          on_pair(p, false, out);
-          continue;
-        }
+  /// Replays the cone over every pair that the record lets it (`replayable`
+  /// for the cone, the pair replayable and within its event budget), all
+  /// pairs in one gate-major pass. A pair stays replayed when the pass saw
+  /// no tie in it and the event loop would form no more batches than the
+  /// budget leaves it. The bound `sources + evaluations` decides first;
+  /// only where it does not fit for some pair (and always with
+  /// `count_all`) are the batches counted exactly, into `pair_batches`.
+  /// Leaves `full` marking the pairs to run in full, and returns their
+  /// number.
+  long replay(const GlitchTrace& trace, long budget, bool replayable,
+              bool count_all) {
+    const std::size_t pairs = static_cast<std::size_t>(trace.pairs);
+    auto start = [&] {
+      full.resize(pairs);
+      for (std::size_t p = 0; p < pairs; ++p)
+        full[p] = replayable && trace.replayable[p] && trace.batches[p] < budget
+                      ? 0
+                      : 1;
+    };
+    start();
+    pass(trace, count_all);
+    sources.assign(pairs, 0);
+    for (const GateId b : boundary)
+      for (std::uint32_t e = trace.offset[b]; e < trace.offset[b + 1]; ++e)
+        ++sources[trace.pair_of[e]];
+    bool count = count_all;
+    for (std::size_t p = 0; p < pairs; ++p)
+      if (!full[p] &&
+          static_cast<long>(sources[p]) + evals[p] > budget - trace.batches[p])
+        count = true;
+    if (count) {
+      if (!count_all) {
+        // The count needs every evaluation's time: repeat the pass, which
+        // drops the same pairs, with the log on.
+        start();
+        pass(trace, /*log=*/true);
       }
-      // Fallback: the whole pair, exactly as estimate_glitch_power runs it.
-      ++fallbacks;
-      load_inputs_v1(p, trace);
-      settle_all();
-      for (std::size_t i = 0; i < cone.size(); ++i) cone_v1[i] = val[cone[i]];
-      on_settled(p);
-      edge.heap.clear();
-      flips.clear();
-      schedule_inputs_v2(p, trace);
-      const EdgeOutcome out =
-          run_edge(v, {}, budget, /*stop_on_tie=*/false, val, edge,
-                   [&](GateId g, double t) { flips.push_back(Flip{g, t}); });
-      on_pair(p, true, out);
+      count_batches(trace);
+      for (std::size_t p = 0; p < pairs; ++p)
+        if (!full[p] && pair_batches[p] > budget - trace.batches[p])
+          full[p] = 1;
     }
-    return fallbacks;
+    return static_cast<long>(std::count(full.begin(), full.end(), 1));
   }
 
-  /// Loads pair `p`'s v1 input values into `val`.
-  void load_inputs_v1(int p, const GlitchTrace& trace) {
+  /// The gate-major pass over the pairs not marked `full`. It settles the
+  /// cone's v1 rows a word (64 pairs) at a time, then gives each cone gate,
+  /// in topological order, its transitions: a merge of its fanins' lists
+  /// (a boundary gate's recorded slice, read in place, or the list the pass
+  /// made for a cone gate) by (pair, time). Each distinct (pair, time)
+  /// applies every change at that time and evaluates the gate once; the
+  /// result is scheduled after the gate's delay and is a transition when it
+  /// differs from the gate's value. With `log`, every evaluation's batch
+  /// goes into `evaluated`.
+  void pass(const GlitchTrace& trace, bool log) {
+    const std::size_t words = static_cast<std::size_t>(trace.words);
+    const std::uint32_t k = static_cast<std::uint32_t>(local.size);
+    const int tail = trace.pairs % 64;
+    const std::uint64_t last_word = tail == 0 ? ~0ull : (1ull << tail) - 1;
+    const bool any = std::find(full.begin(), full.end(), 0) != full.end();
+    cone_v1.resize(static_cast<std::size_t>(k) * words);
+    list_begin.assign(1, 0);
+    list_time.clear();
+    list_pair.clear();
+    evals.assign(static_cast<std::size_t>(trace.pairs), 0);
+    evaluated.clear();
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const std::uint32_t* fanin = local.fanin.data() + local.fanin_begin[i];
+      const std::size_t n = local.fanin_begin[i + 1] - local.fanin_begin[i];
+      // A gate makes at most one transition per fanin transition: make room
+      // for its list first, so that the cursors into earlier lists stay
+      // valid while it grows.
+      std::size_t most = list_time.size();
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::uint32_t f = fanin[j];
+        most += f < k ? list_begin[f + 1] - list_begin[f]
+                      : trace.offset[local.gate[f] + 1] -
+                            trace.offset[local.gate[f]];
+      }
+      reserve_at_least(&list_time, most);
+      reserve_at_least(&list_pair, most);
+      pins.resize(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::uint32_t f = fanin[j];
+        Pin& pin = pins[j];
+        if (f < k) {
+          pin.time = list_time.data() + list_begin[f];
+          pin.pair = list_pair.data() + list_begin[f];
+          pin.end = list_pair.data() + list_begin[f + 1];
+          pin.v1 = cone_v1.data() + static_cast<std::size_t>(f) * words;
+        } else {
+          const GateId b = local.gate[f];
+          pin.time = trace.time.data() + trace.offset[b];
+          pin.pair = trace.pair_of.data() + trace.offset[b];
+          pin.end = trace.pair_of.data() + trace.offset[b + 1];
+          pin.v1 = trace.v1.data() + static_cast<std::size_t>(b) * words;
+        }
+      }
+      std::uint64_t* own = cone_v1.data() + static_cast<std::size_t>(i) * words;
+      pin_words.resize(n);
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::size_t j = 0; j < n; ++j) pin_words[j] = pins[j].v1[w];
+        own[w] = local.eval_word(i, pin_words.data());
+      }
+      if (words > 0) own[words - 1] &= last_word;
+      if (any) merge(i, own, log);
+      list_begin.push_back(static_cast<std::uint32_t>(list_time.size()));
+    }
+  }
+
+  /// Makes cone gate i's transitions from its pins (see pass()).
+  ///
+  /// This is what the event loop does. A gate with positive delay that is
+  /// evaluated in the batch at time t sees every fanin change at times
+  /// <= t: the fanins are inputs (switching at t = 0), gates with positive
+  /// delay, whose events at t were all scheduled before t, or zero-delay
+  /// gates without fanins, which never switch (close_cone() rules out the
+  /// rest). Its own events pop in the order they were scheduled, so its
+  /// transitions are the value changes along one evaluation per distinct
+  /// fanin-change time. A zero-delay gate without fanouts (a PO) pops its
+  /// event in a second batch at its evaluation time, and nothing reads it.
+  /// Two evaluations scheduled at one time with different values are a
+  /// tie: the heap's order between them decides the outcome, so the pair is
+  /// marked `full` and left out of the rest of the pass. So is a pair in
+  /// which a gate with fanouts schedules an event at its own evaluation
+  /// time (a delay lost to rounding).
+  void merge(std::uint32_t i, const std::uint64_t* own, bool log) {
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    const double delay = local.delay[i];
+    const bool fans_out = local.fans_out[i] != 0;
+    const std::uint64_t table = local.table[i];
+    const TruthTable* wide = local.wide[i];
+    std::uint32_t p = kNone;
+    std::uint64_t idx = 0;  // the fanins' values in pair p, bit per pin
+    std::uint8_t value = 0;
+    bool scheduled = false;  // an event of pair p is scheduled: at, was
+    double at = 0.0;
+    std::uint8_t was = 0;
+    for (;;) {
+      std::uint32_t next = kNone;
+      double t = 0.0;
+      for (Pin& pin : pins) {
+        while (pin.pair != pin.end && full[*pin.pair]) {
+          ++pin.pair;
+          ++pin.time;
+        }
+        if (pin.pair != pin.end &&
+            (*pin.pair < next || (*pin.pair == next && *pin.time < t))) {
+          next = *pin.pair;
+          t = *pin.time;
+        }
+      }
+      if (next == kNone) return;
+      const std::size_t word = next / 64;
+      const unsigned bit = next % 64;
+      if (next != p) {
+        p = next;
+        idx = 0;
+        for (std::size_t j = 0; j < pins.size(); ++j)
+          idx |= ((pins[j].v1[word] >> bit) & 1) << j;
+        value = static_cast<std::uint8_t>((own[word] >> bit) & 1);
+        scheduled = false;
+      }
+      for (std::size_t j = 0; j < pins.size(); ++j) {
+        Pin& pin = pins[j];
+        for (; pin.pair != pin.end && *pin.pair == p && *pin.time == t;
+             ++pin.pair, ++pin.time)
+          idx ^= 1ull << j;
+      }
+      const std::uint8_t e =
+          wide != nullptr ? (wide->bit(idx) ? 1 : 0)
+                          : static_cast<std::uint8_t>((table >> idx) & 1);
+      ++evals[p];
+      const double when = t + delay;
+      if (when == t && fans_out) {
+        full[p] = 1;
+        continue;
+      }
+      if (log) evaluated.push_back(Stamp{batch_key(when, when == t), p});
+      if (scheduled && when == at && e != was) {
+        full[p] = 1;
+        continue;
+      }
+      scheduled = true;
+      at = when;
+      was = e;
+      if (e == value) continue;  // absorbed
+      value = e;
+      list_time.push_back(when);
+      list_pair.push_back(p);
+    }
+  }
+
+  /// The batches the event loop forms replaying each pair not marked
+  /// `full`, into `pair_batches`: one per distinct time at which a boundary
+  /// gate switches or an event pops, plus one per distinct time at which a
+  /// zero-delay gate is evaluated. Needs the logged pass's `evaluated`.
+  void count_batches(const GlitchTrace& trace) {
+    const std::size_t pairs = full.size();
+    // Bucket the stamps by pair (a counting sort), then count each pair's
+    // distinct ones.
+    auto for_each_stamp = [&](auto&& fn) {
+      for (const GateId b : boundary)
+        for (std::uint32_t e = trace.offset[b]; e < trace.offset[b + 1]; ++e)
+          if (!full[trace.pair_of[e]])
+            fn(Stamp{batch_key(trace.time[e], false), trace.pair_of[e]});
+      for (const Stamp& st : evaluated)
+        if (!full[st.pair]) fn(st);
+    };
+    stamp_begin.assign(pairs + 1, 0);
+    for_each_stamp([&](const Stamp& st) { ++stamp_begin[st.pair + 1]; });
+    for (std::size_t p = 0; p < pairs; ++p)
+      stamp_begin[p + 1] += stamp_begin[p];
+    stamps.resize(stamp_begin[pairs]);
+    stamp_fill.assign(stamp_begin.begin(), stamp_begin.end() - 1);
+    for_each_stamp(
+        [&](const Stamp& st) { stamps[stamp_fill[st.pair]++] = st.key; });
+    pair_batches.assign(pairs, 0);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const auto first = stamps.begin() + stamp_begin[p];
+      const auto last = stamps.begin() + stamp_begin[p + 1];
+      std::sort(first, last);
+      pair_batches[p] = std::unique(first, last) - first;
+    }
+  }
+
+  /// Runs pair `p` in full through `v`, exactly as estimate_glitch_power
+  /// does, with its transitions into `flips`. `settle_all` settles every
+  /// gate once the inputs hold their v1 values.
+  template <class View, class SettleAll>
+  EdgeOutcome run_full(const View& v, const GlitchTrace& trace, int p,
+                       long budget, SettleAll&& settle_all) {
     for (const GateId g : netlist->inputs())
       val[g] = pair_bit(trace.v1, trace.words, g, p) ? 1 : 0;
-  }
-  /// Schedules pair `p`'s input changes at t = 0.
-  void schedule_inputs_v2(int p, const GlitchTrace& trace) {
+    settle_all();
+    edge.heap.clear();
+    flips.clear();
     for (int i = 0; i < netlist->num_inputs(); ++i) {
       const GateId g = netlist->inputs()[static_cast<std::size_t>(i)];
       const std::uint8_t want =
@@ -710,11 +882,17 @@ struct GlitchReplayer::Scratch {
                                                                          : 0;
       if (val[g] != want) edge.push(Event{0.0, g, want});
     }
+    return run_edge(v, budget, val, edge,
+                    [&](GateId g, double t) { flips.push_back(Flip{g, t}); });
   }
 };
 
 GlitchReplayer::GlitchReplayer() : s_(std::make_unique<Scratch>()) {}
 GlitchReplayer::~GlitchReplayer() = default;
+
+std::span<const GateId> GlitchReplayer::refreshed_slots() const {
+  return s_->touched;
+}
 
 double GlitchReplayer::trial_power(const Netlist& netlist,
                                    const GlitchTrace& trace,
@@ -752,7 +930,6 @@ double GlitchReplayer::trial_power(const Netlist& netlist,
     if (s.delay[g] != trace.delay[g]) s.seed(g);
   }
   const bool replayable = s.close_cone(view);
-  for (const GateId g : s.cone) s.count[g] = 0;
 
   const std::size_t live = netlist.topo_order().size() +
                            (virt != kNullGate ? 1 : 0) -
@@ -761,13 +938,29 @@ double GlitchReplayer::trial_power(const Netlist& netlist,
   auto recorded = [&](GateId g) {
     return static_cast<long>(trace.offset[g + 1] - trace.offset[g]);
   };
-  // A pair run in full recounts every gate: from the first one on, every
-  // surviving gate keeps a count.
-  bool dense = false;
-  s.full_pair.assign(static_cast<std::size_t>(trace.pairs), 0);
-  const long fallbacks = s.run_pairs(
-      view, trace, budget, replayable,
-      [&] {
+  const long fallbacks = s.replay(trace, budget, replayable,
+                                   /*count_all=*/false);
+  for (std::size_t i = 0; i < s.cone.size(); ++i) {
+    long c = 0;
+    for (std::uint32_t e = s.list_begin[i]; e < s.list_begin[i + 1]; ++e)
+      c += s.full[s.list_pair[e]] ? 0 : 1;
+    s.count[s.cone[i]] = c;
+  }
+  // A pair run in full recounts every gate: every surviving gate outside
+  // the cone keeps its recorded count less its transitions in such pairs,
+  // plus the new run's.
+  const bool dense = fallbacks > 0;
+  if (dense) {
+    for (GateId g = 0; g < slots; ++g) {
+      if (!netlist.alive(g) || edit.removed(g) || s.member(g)) continue;
+      long c = recorded(g);
+      for (std::uint32_t e = trace.offset[g]; e < trace.offset[g + 1]; ++e)
+        c -= s.full[trace.pair_of[e]];
+      s.count[g] = c;
+    }
+    for (int p = 0; p < trace.pairs; ++p) {
+      if (!s.full[static_cast<std::size_t>(p)]) continue;
+      s.run_full(view, trace, p, budget, [&] {
         // Gates outside the cone read only gates outside it, so the live
         // order settles them; the cone follows in its own order.
         for (const GateId g : netlist.topo_order())
@@ -775,27 +968,10 @@ double GlitchReplayer::trial_power(const Netlist& netlist,
               !s.member(g))
             s.val[g] = evaluate(view, g, s.val);
         settle(view, s.cone, &s.val);
-      },
-      [](int) {},
-      [&](int p, bool full, const EdgeOutcome&) {
-        if (full) {
-          if (!dense) {
-            for (GateId g = 0; g < slots; ++g)
-              if (netlist.alive(g) && !edit.removed(g) && !s.member(g))
-                s.count[g] = recorded(g);
-            dense = true;
-          }
-          s.full_pair[static_cast<std::size_t>(p)] = 1;
-        }
-        for (const Scratch::Flip& f : s.flips) ++s.count[f.gate];
       });
-  // A fully re-simulated pair recounted every gate: take its recorded
-  // transitions back out of the totals of the gates outside the cone.
-  if (dense)
-    for (GateId g = 0; g < slots; ++g)
-      if (netlist.alive(g) && !edit.removed(g) && !s.member(g))
-        for (std::uint32_t e = trace.offset[g]; e < trace.offset[g + 1]; ++e)
-          if (s.full_pair[trace.pair_of[e]]) --s.count[g];
+      for (const Scratch::Flip& f : s.flips) ++s.count[f.gate];
+    }
+  }
   if (stats != nullptr) {
     stats->cone_gates += static_cast<long>(s.cone.size());
     stats->fallback_pairs += fallbacks;
@@ -899,32 +1075,42 @@ GlitchReplayStats GlitchReplayer::refresh(const Netlist& netlist,
 
   GlitchReplayStats stats;
   stats.cone_gates = static_cast<long>(s.cone.size());
-  s.recorded.clear();
-  s.full_pair.assign(static_cast<std::size_t>(trace->pairs), 0);
+  std::vector<Scratch::Recorded>& rec = s.recorded;
+  rec.clear();
+  s.full.assign(static_cast<std::size_t>(trace->pairs), 0);
   if (!s.cone.empty()) {
     const long budget = event_budget(options, netlist.topo_order().size());
+    stats.fallback_pairs = s.replay(*trace, budget, replayable,
+                                    /*count_all=*/true);
+    // The cone's v1 rows, every pair at once: a pair run in full settles
+    // to the same values, since the boundary lies outside the cone.
+    for (std::size_t i = 0; i < s.cone.size(); ++i)
+      std::copy_n(s.cone_v1.begin() + static_cast<std::ptrdiff_t>(i * row),
+                  row,
+                  trace->v1.begin() +
+                      static_cast<std::ptrdiff_t>(s.cone[i] * row));
+    for (std::size_t i = 0; i < s.cone.size(); ++i)
+      for (std::uint32_t e = s.list_begin[i]; e < s.list_begin[i + 1]; ++e)
+        if (!s.full[s.list_pair[e]])
+          rec.push_back(
+              Scratch::Recorded{s.list_pair[e], s.cone[i], s.list_time[e]});
     long overflows = 0;
-    stats.fallback_pairs = s.run_pairs(
-        view, *trace, budget, replayable,
-        [&] { settle(view, netlist.topo_order(), &s.val); },
-        [&](int p) {
-          for (std::size_t i = 0; i < s.cone.size(); ++i)
-            put_pair_bit(&trace->v1, words, s.cone[i], p, s.cone_v1[i] != 0);
-        },
-        [&](int p, bool full, const EdgeOutcome& out) {
-          const std::size_t sp = static_cast<std::size_t>(p);
-          for (const Scratch::Flip& f : s.flips)
-            s.recorded.push_back(Scratch::Recorded{
-                static_cast<std::uint32_t>(p), f.gate, f.time});
-          if (!full) {
-            trace->batches[sp] += out.batches;
-            return;
-          }
-          s.full_pair[sp] = 1;
-          trace->batches[sp] = out.batches;
-          trace->replayable[sp] = out.overflow || out.tie ? 0 : 1;
-          if (out.overflow) ++overflows;
-        });
+    for (int p = 0; p < trace->pairs; ++p) {
+      const std::size_t sp = static_cast<std::size_t>(p);
+      if (!s.full[sp]) {
+        trace->batches[sp] += s.pair_batches[sp];
+        continue;
+      }
+      const EdgeOutcome out = s.run_full(
+          view, *trace, p, budget,
+          [&] { settle(view, netlist.topo_order(), &s.val); });
+      for (const Scratch::Flip& f : s.flips)
+        rec.push_back(Scratch::Recorded{static_cast<std::uint32_t>(p), f.gate,
+                                        f.time});
+      trace->batches[sp] = out.batches;
+      trace->replayable[sp] = out.overflow || out.tie ? 0 : 1;
+      if (out.overflow) ++overflows;
+    }
     // Every pair was replayed (and so cannot overflow) or run in full.
     estimate->event_overflows = overflows;
   }
@@ -933,18 +1119,21 @@ GlitchReplayStats GlitchReplayer::refresh(const Netlist& netlist,
   // gate's is empty; every other live gate keeps its record, except in the
   // pairs run in full, whose new transitions merge in by pair. Without such
   // pairs, the runs of untouched gates between two touched ones move whole.
-  std::vector<Scratch::Recorded>& rec = s.recorded;
+  // Each (gate, pair) group comes from one run, in time order.
   std::stable_sort(rec.begin(), rec.end(),
                    [](const Scratch::Recorded& a, const Scratch::Recorded& b) {
-                     return a.gate < b.gate;
+                     return a.gate < b.gate ||
+                            (a.gate == b.gate && a.pair < b.pair);
                    });
-  std::vector<GateId>& touched = s.changed;
+  std::vector<GateId>& touched = s.touched;
   touched.clear();
   if (stats.fallback_pairs > 0) {
     for (GateId g = 0; g < slots; ++g) touched.push_back(g);
   } else {
     touched.assign(s.cone.begin(), s.cone.end());
     touched.insert(touched.end(), s.dead.begin(), s.dead.end());
+    for (GateId g = static_cast<GateId>(old_slots); g < slots; ++g)
+      touched.push_back(g);
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   }
@@ -976,7 +1165,7 @@ GlitchReplayStats GlitchReplayer::refresh(const Netlist& netlist,
       std::uint32_t i = trace->offset[g];
       const std::uint32_t i_end = s.member(g) ? i : trace->offset[g + 1];
       while (i < i_end || (r != rec.end() && r->gate == g)) {
-        if (i < i_end && s.full_pair[trace->pair_of[i]]) {
+        if (i < i_end && s.full[trace->pair_of[i]]) {
           ++i;
         } else if (r == rec.end() || r->gate != g ||
                    (i < i_end && trace->pair_of[i] < r->pair)) {

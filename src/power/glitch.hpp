@@ -116,12 +116,14 @@ GlitchEstimate estimate_glitch_power(const Netlist& netlist,
 
 /// The cone-local replays of a recorded estimate. Only the gates whose
 /// switching can differ from the record — the fanout closure of every gate
-/// whose kind, cell, fanins or delay changed — are re-simulated, with their
-/// boundary fanins replaying the recorded transitions; pairs the replay
+/// whose kind, cell, fanins or delay changed — are re-simulated, all vector
+/// pairs in one gate-major pass: the cone's settled values a 64-pair word
+/// at a time, then each cone gate's transitions from a merge of its
+/// fanins', the boundary's replaying the recorded ones. Pairs the pass
 /// cannot reproduce exactly (a different-value tie, an event-budget
-/// overflow, a zero-delay boundary) are re-simulated in full. The scratch
-/// tables are sized to the netlist once and stamped per call, so a call's
-/// work is proportional to its cone. Not for concurrent use.
+/// overflow, a zero-delay boundary or inner gate) are re-simulated in full.
+/// The scratch tables are sized to the netlist once and stamped per call,
+/// so a call's work is proportional to its cone. Not for concurrent use.
 class GlitchReplayer {
  public:
   GlitchReplayer();
@@ -147,6 +149,11 @@ class GlitchReplayer {
                             std::span<const GateId> loaded,
                             const GlitchOptions& options, GlitchTrace* trace,
                             GlitchEstimate* estimate);
+
+  /// The slots whose record the last refresh() rewrote, ascending: the
+  /// cone, the dead seeds and the new slots, or every slot when a pair ran
+  /// in full. Every other slot kept its transitions, and so its activity.
+  std::span<const GateId> refreshed_slots() const;
 
  private:
   struct Scratch;

@@ -105,14 +105,15 @@ void TimedPowerModel::refresh() {
     ++resims_;
     changes_.mark_full();
   } else {
-    before_ = estimate_.timed_activity;
+    // The refresh rewrites every activity; keep the old ones by swapping.
+    before_.swap(estimate_.timed_activity);
     const GlitchReplayStats done = replayer_.refresh(
         *netlist_, changed_, loaded_, options_, &trace_, &estimate_);
     refresh_stats_.cone_gates += done.cone_gates;
     refresh_stats_.fallback_pairs += done.fallback_pairs;
     ++cone_refreshes_;
     const std::vector<double>& after = estimate_.timed_activity;
-    for (GateId g = 0; g < after.size(); ++g)
+    for (const GateId g : replayer_.refreshed_slots())
       if (g >= before_.size() ||
           std::memcmp(&before_[g], &after[g], sizeof(double)) != 0)
         changes_.record({&g, 1});

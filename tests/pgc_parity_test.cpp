@@ -5,8 +5,9 @@
 // event-driven estimate on it. Refresh: after every commit, rollback and
 // resize, the cone refresh must leave the estimate and its trace equal to
 // a fresh full estimate of the live netlist. Every fallback rule
-// (different-value ties, event-budget overflow, zero-delay boundary) is
-// forced and checked to have run.
+// (different-value ties, event-budget overflow, zero-delay boundary or
+// inner gate) is forced and checked to have run, and so are the budget's
+// batch counts and the pass's word-parallel and wide-cell paths.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <array>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
@@ -158,15 +160,14 @@ bool same_array(const std::vector<T>& a, const std::vector<T>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-/// The refreshed model against a fresh full estimate of the live netlist:
-/// the estimate and every trace array bit for bit, except the batch counts,
-/// which the refresh keeps as upper bounds.
-void expect_matches_full(const TimedPowerModel& model, const Netlist& nl,
+/// A refreshed estimate and trace against a fresh full estimate of the live
+/// netlist: the estimate and every trace array bit for bit, except the
+/// batch counts, which the refresh keeps as upper bounds.
+void expect_matches_full(const GlitchEstimate& got, const GlitchTrace& t,
+                         const Netlist& nl, const GlitchOptions& options,
                          const std::string& label) {
   GlitchTrace want;
-  const GlitchEstimate full =
-      estimate_glitch_power(nl, model.glitch_options(), &want);
-  const GlitchEstimate& got = model.estimate();
+  const GlitchEstimate full = estimate_glitch_power(nl, options, &want);
   EXPECT_TRUE(same_bits(got.timed_power, full.timed_power))
       << label << ": timed " << got.timed_power << " vs " << full.timed_power;
   EXPECT_TRUE(same_bits(got.zero_delay_power, full.zero_delay_power))
@@ -174,7 +175,6 @@ void expect_matches_full(const TimedPowerModel& model, const Netlist& nl,
       << full.zero_delay_power;
   EXPECT_TRUE(same_array(got.timed_activity, full.timed_activity)) << label;
   EXPECT_EQ(got.event_overflows, full.event_overflows) << label;
-  const GlitchTrace& t = model.trace();
   EXPECT_EQ(t.epoch, want.epoch) << label;
   EXPECT_EQ(t.pairs, want.pairs) << label;
   EXPECT_EQ(t.words, want.words) << label;
@@ -195,6 +195,12 @@ void expect_matches_full(const TimedPowerModel& model, const Netlist& nl,
   ASSERT_EQ(t.batches.size(), want.batches.size()) << label;
   for (std::size_t p = 0; p < t.batches.size(); ++p)
     EXPECT_GE(t.batches[p], want.batches[p]) << label << ": pair " << p;
+}
+
+void expect_matches_full(const TimedPowerModel& model, const Netlist& nl,
+                         const std::string& label) {
+  expect_matches_full(model.estimate(), model.trace(), nl,
+                      model.glitch_options(), label);
 }
 
 /// Counts the deltas a storm publishes, by kind.
@@ -291,6 +297,30 @@ INSTANTIATE_TEST_SUITE_P(QuickSuite, RefreshParityTest,
                          ::testing::ValuesIn(quick_suite()),
                          [](const auto& info) { return info.param; });
 
+/// Pair counts that leave the last 64-pair word partial (100) or span
+/// several words (256): the pass settles the cone a word at a time.
+class PairCountTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(PairCountTest, ReplayAndRefreshMatchFullEstimate) {
+  const auto& [name, pairs] = GetParam();
+  const std::string label = name + " at " + std::to_string(pairs) + " pairs";
+  TimedBench b(name, glitch_pairs(pairs));
+  EXPECT_EQ(b.model.trace().words, (pairs + 63) / 64);
+  EXPECT_GT(b.check_shortlist(label), 0);
+  refresh_storm(b, label);
+  b.check_shortlist(label + " after refresh storm");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Words, PairCountTest,
+    ::testing::Combine(::testing::Values("misex3", "rd84"),
+                       ::testing::Values(100, 256)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
 TEST(RefreshParityScaleTest, Scale500ConeRefreshMatchesFullEstimate) {
   TimedBench b(make_scale_netlist(500), glitch_pairs(64));
   refresh_storm(b, "scale500");
@@ -326,8 +356,9 @@ TEST(PgcFallbackTest, EventBudgetOverflowFallsBackToFullPairs) {
 }
 
 /// A library with load-independent delays (R = 0): 0.1 + 0.2 + 1.0 and
-/// 0.3 + 1.0 round to the same event time, and `buf0` switches in a second
-/// batch at its input's timestamp.
+/// 0.3 + 1.0 round to the same event time, `buf0` switches in a second
+/// batch at its input's timestamp, `wide7` has a table of two words and
+/// `one` is a constant.
 CellLibrary exact_delay_library() {
   CellLibrary lib;
   auto add = [&](const char* name, double tau, int inputs,
@@ -350,6 +381,13 @@ CellLibrary exact_delay_library() {
   add("buf3", 0.3, 1, buf);
   add("xor2", 1.0, 2,
       [](std::uint64_t m) { return ((m ^ (m >> 1)) & 1) != 0; });
+  // a ^ (b & c) ^ (d | e) ^ (f & !g): no two inputs are interchangeable.
+  add("wide7", 1.0, 7, [](std::uint64_t m) {
+    return ((m ^ ((m >> 1) & (m >> 2)) ^ ((m >> 3) | (m >> 4)) ^
+             ((m >> 5) & ~(m >> 6))) &
+            1) != 0;
+  });
+  add("one", 0.2, 0, [](std::uint64_t) { return true; });
   return lib;
 }
 
@@ -360,8 +398,8 @@ CellLibrary exact_delay_library() {
 /// applied by hand, the swept gates left in place as dead logic is. Returns
 /// the pairs that fell back in the replay.
 long replay_fallbacks(Netlist& base, const EditPlan& plan,
-                      const Netlist& edited) {
-  const GlitchOptions opt = glitch_pairs(64);
+                      const Netlist& edited,
+                      const GlitchOptions& opt = glitch_pairs(64)) {
   GlitchTrace trace;
   GlitchEstimate estimate = estimate_glitch_power(base, opt, &trace);
   for (const std::uint8_t ok : trace.replayable) EXPECT_TRUE(ok);
@@ -389,8 +427,42 @@ long replay_fallbacks(Netlist& base, const EditPlan& plan,
       replayer.refresh(base, changed, loaded, opt, &trace, &estimate);
   EXPECT_GT(done.cone_gates, 0);
   EXPECT_TRUE(same_bits(estimate.timed_power, full.timed_power));
-  EXPECT_TRUE(same_bits(estimate.zero_delay_power, full.zero_delay_power));
+  expect_matches_full(estimate, trace, base, opt, "refresh");
   return stats.fallback_pairs;
+}
+
+/// Replaces `x`, the driver of pin 0 of `sink`, with a new `cell` gate over
+/// `fanins`: returns the plan and applies it by hand to `*edited`, a copy
+/// of `base`.
+EditPlan replace_driver(const Netlist& base, GateId sink, const char* cell,
+                        const std::vector<GateId>& fanins, Netlist* edited) {
+  const CellLibrary& lib = base.library();
+  const GateId x = base.fanin(sink, 0);
+  const GateId s = edited->add_gate(lib.find(cell), fanins);
+  edited->set_fanin(sink, 0, s);
+  EditPlan plan;
+  plan.target = x;
+  plan.new_gate = s;
+  plan.new_cell = lib.find(cell);
+  plan.new_fanins = fanins;
+  plan.rewired_pins = {RewiredPin{sink, 0, x, s}};
+  return plan;
+}
+
+/// Pairs of `trace` in which input `i` of `nl` toggles.
+std::vector<bool> toggles(const Netlist& nl, const GlitchTrace& trace, int i) {
+  std::vector<bool> out(static_cast<std::size_t>(trace.pairs));
+  const std::size_t words = static_cast<std::size_t>(trace.words);
+  const GateId g = nl.inputs()[static_cast<std::size_t>(i)];
+  for (int p = 0; p < trace.pairs; ++p) {
+    const std::size_t w = static_cast<std::size_t>(p / 64);
+    const auto bit = [&](const std::vector<std::uint64_t>& rows, GateId row) {
+      return (rows[row * words + w] >> (p % 64)) & 1;
+    };
+    out[static_cast<std::size_t>(p)] =
+        bit(trace.v1, g) != bit(trace.pi_v2, static_cast<GateId>(i));
+  }
+  return out;
 }
 
 TEST(PgcFallbackTest, ReplayedTiesFallBackToFullPairs) {
@@ -410,15 +482,7 @@ TEST(PgcFallbackTest, ReplayedTiesFallBackToFullPairs) {
   const GateId f =
       base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
   Netlist trial = base;
-  const GateId x = trial.fanin(f, 0);
-  const GateId s = trial.add_gate(lib.find("xor2"), {q, r});
-  trial.set_fanin(f, 0, s);
-  EditPlan plan;
-  plan.target = x;
-  plan.new_gate = s;
-  plan.new_cell = lib.find("xor2");
-  plan.new_fanins = {q, r};
-  plan.rewired_pins = {RewiredPin{f, 0, x, s}};
+  const EditPlan plan = replace_driver(base, f, "xor2", {q, r}, &trial);
   EXPECT_GT(replay_fallbacks(base, plan, trial), 0);
 }
 
@@ -435,16 +499,121 @@ TEST(PgcFallbackTest, ZeroDelayBoundaryIsNotReplayed) {
   const GateId f =
       base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
   Netlist trial = base;
-  const GateId x = trial.fanin(f, 0);
-  const GateId s = trial.add_gate(lib.find("xor2"), {b, z});
-  trial.set_fanin(f, 0, s);
-  EditPlan plan;
-  plan.target = x;
-  plan.new_gate = s;
-  plan.new_cell = lib.find("xor2");
-  plan.new_fanins = {b, z};
-  plan.rewired_pins = {RewiredPin{f, 0, x, s}};
+  const EditPlan plan = replace_driver(base, f, "xor2", {b, z}, &trial);
   EXPECT_EQ(replay_fallbacks(base, plan, trial), 64);
+}
+
+TEST(PgcFallbackTest, ZeroDelayGateInsideTheConeIsNotReplayed) {
+  // s = buf0(a) drives y inside the cone: y sees b change in the first
+  // batch at t = 0 and s in a second one; the pass would merge the two
+  // into one evaluation.
+  const CellLibrary lib = exact_delay_library();
+  Netlist base(&lib);
+  const GateId a = base.add_input("a");
+  const GateId b = base.add_input("b");
+  const GateId x = base.add_gate(lib.find("buf1"), {a});
+  const GateId y = base.add_gate(lib.find("xor2"), {x, b});
+  base.add_output("of", y);
+  Netlist trial = base;
+  const EditPlan plan = replace_driver(base, y, "buf0", {a}, &trial);
+  EXPECT_EQ(replay_fallbacks(base, plan, trial), 64);
+}
+
+TEST(PgcReplayTest, WideCellInTheCone) {
+  // A seven-input cell over signals that switch at t = 0, 0.1, 0.2 and
+  // 0.3: its two-word table is read bit by bit, in the settled rows and in
+  // the merge.
+  const CellLibrary lib = exact_delay_library();
+  Netlist base(&lib);
+  std::vector<GateId> in;
+  const char* buffers[] = {"buf1", "buf2", "buf3"};
+  for (int i = 0; i < 7; ++i) {
+    const GateId pi =
+        base.add_input(std::string(1, static_cast<char>('a' + i)));
+    in.push_back(i % 2 == 0 ? pi
+                            : base.add_gate(lib.find(buffers[i % 3]), {pi}));
+  }
+  const GateId f =
+      base.add_output("of", base.add_gate(lib.find("xor2"), {in[0], in[1]}));
+  Netlist trial = base;
+  const EditPlan plan = replace_driver(base, f, "wide7", in, &trial);
+  EXPECT_EQ(replay_fallbacks(base, plan, trial), 0);
+}
+
+TEST(PgcReplayTest, ConstantReplacement) {
+  // The inserted gate has no fanins: it settles to 1 and never switches.
+  const CellLibrary lib = exact_delay_library();
+  Netlist base(&lib);
+  const GateId a = base.add_input("a");
+  const GateId b = base.add_input("b");
+  const GateId f =
+      base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
+  Netlist trial = base;
+  const EditPlan plan = replace_driver(base, f, "one", {}, &trial);
+  EXPECT_EQ(replay_fallbacks(base, plan, trial), 0);
+}
+
+/// base: of = xor2(a, b). A full run forms three batches in a pair where
+/// one input toggles (t = 0, x at 1.0, the PO's second batch at 1.0) and
+/// two where both do (x's event at 1.0 is absorbed).
+struct BudgetCase {
+  CellLibrary lib = exact_delay_library();
+  Netlist base{&lib};
+  GateId f = kNullGate;
+  std::vector<bool> a_toggles, b_toggles;
+
+  BudgetCase() {
+    const GateId a = base.add_input("a");
+    const GateId b = base.add_input("b");
+    f = base.add_output("of", base.add_gate(lib.find("xor2"), {a, b}));
+    GlitchTrace trace;
+    (void)estimate_glitch_power(base, glitch_pairs(64), &trace);
+    a_toggles = toggles(base, trace, 0);
+    b_toggles = toggles(base, trace, 1);
+  }
+  /// Pairs where `a` toggles as `a_want` says, and `b` as `b_want`.
+  long count(bool a_want, bool b_want) const {
+    long n = 0;
+    for (std::size_t p = 0; p < a_toggles.size(); ++p)
+      n += a_toggles[p] == a_want && b_toggles[p] == b_want ? 1 : 0;
+    return n;
+  }
+};
+
+TEST(PgcBudgetTest, PoSubBatchesCountTowardTheBudget) {
+  // s = buf1(a) drives the PO. A pair where a toggles replays in three
+  // batches: a at t = 0, s at 0.1, and the PO's second batch at 0.1. With
+  // a budget of 5 it has two left where only a toggles, and falls back
+  // only because of the PO's batch; where both toggle it has three and
+  // replays.
+  BudgetCase c;
+  ASSERT_GT(c.count(true, false), 0);
+  ASSERT_GT(c.count(true, true), 0);
+  Netlist trial = c.base;
+  const EditPlan plan =
+      replace_driver(c.base, c.f, "buf1", {c.base.inputs()[0]}, &trial);
+  GlitchOptions opt = glitch_pairs(64);
+  opt.max_events_per_pair = 5;
+  EXPECT_EQ(replay_fallbacks(c.base, plan, trial, opt), c.count(true, false));
+}
+
+TEST(PgcBudgetTest, ExactBatchCountDecidesWhereTheBoundDoesNotFit) {
+  // s = xor2(a, b) takes over the PO. Where both inputs toggle, the replay
+  // has two sources and one evaluation (bound 3) but forms two batches:
+  // both sources at t = 0 and s's absorbed event at 1.0. A budget of 4
+  // leaves two after the record's two, so the pair replays on the exact
+  // count alone. Where one input toggles, the replay forms three batches
+  // against one left, and falls back.
+  BudgetCase c;
+  ASSERT_GT(c.count(true, true), 0);
+  const long one = c.count(true, false) + c.count(false, true);
+  ASSERT_GT(one, 0);
+  Netlist trial = c.base;
+  const EditPlan plan = replace_driver(
+      c.base, c.f, "xor2", {c.base.inputs()[0], c.base.inputs()[1]}, &trial);
+  GlitchOptions opt = glitch_pairs(64);
+  opt.max_events_per_pair = 4;
+  EXPECT_EQ(replay_fallbacks(c.base, plan, trial, opt), one);
 }
 
 TEST(PgcMemoTest, RejectedPicksReuseShortlistGains) {
