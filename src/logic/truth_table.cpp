@@ -9,12 +9,6 @@
 namespace powder {
 
 namespace {
-// Masks selecting the bits where variable v (v < 6) is 0, within one word.
-constexpr std::uint64_t kVarMask0[6] = {
-    0x5555555555555555ull, 0x3333333333333333ull, 0x0F0F0F0F0F0F0F0Full,
-    0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull,
-};
-
 std::size_t word_count(int num_vars) {
   return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
 }
@@ -68,11 +62,28 @@ std::uint64_t TruthTable::count_ones() const {
 }
 
 bool TruthTable::is_constant(bool value) const {
-  return *this == constant(num_vars_, value);
+  if (words_.empty()) return false;  // default-constructed: no function
+  const std::uint64_t want =
+      !value ? 0 : num_vars_ >= 6 ? ~0ull : (1ull << (1u << num_vars_)) - 1;
+  return std::all_of(words_.begin(), words_.end(),
+                     [want](std::uint64_t w) { return w == want; });
 }
 
 bool TruthTable::depends_on(int var) const {
-  return cofactor(var, false) != cofactor(var, true);
+  POWDER_CHECK(var >= 0 && var < num_vars_);
+  if (var < 6) {
+    // The var == 1 half of each word, moved onto the var == 0 half.
+    const std::uint64_t m0 = kVarMask0[var];
+    const int shift = 1 << var;
+    return std::any_of(words_.begin(), words_.end(), [&](std::uint64_t w) {
+      return ((w >> shift) & m0) != (w & m0);
+    });
+  }
+  // Variable >= 6 selects whole words: word i pairs with word i | period.
+  const std::size_t period = std::size_t{1} << (var - 6);
+  for (std::size_t i = 0; i < words_.size(); ++i)
+    if ((i & period) == 0 && words_[i] != words_[i | period]) return true;
+  return false;
 }
 
 TruthTable TruthTable::operator~() const {

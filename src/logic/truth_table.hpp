@@ -11,6 +11,13 @@
 
 namespace powder {
 
+/// Masks selecting, within one table word, the bits of the minterms where
+/// variable v (v < 6) is 0.
+inline constexpr std::uint64_t kVarMask0[6] = {
+    0x5555555555555555ull, 0x3333333333333333ull, 0x0F0F0F0F0F0F0F0Full,
+    0x00FF00FF00FF00FFull, 0x0000FFFF0000FFFFull, 0x00000000FFFFFFFFull,
+};
+
 /// A completely specified Boolean function of `num_vars()` variables,
 /// stored as a bit vector of 2^n minterm values (variable 0 is the fastest
 /// toggling input, i.e. bit i of the table is f(i_0, i_1, ...)).

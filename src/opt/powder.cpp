@@ -772,9 +772,9 @@ PowderReport PowderOptimizer::run() {
     }
 
     int performed = 0;
-    // The last pick's tombstone stays in `cands` until the next round.
-    std::size_t tombstones = 0;
-    while (performed < options_.repeat && cands.size() > tombstones) {
+    // Picks leave tombstones in `cands` until a round at a new epoch
+    // compacts it; the loop ends when no live candidate is left.
+    while (performed < options_.repeat && memo.live(cands) > 0) {
       if (stop_requested()) {
         stopped = true;
         break;
@@ -794,8 +794,7 @@ PowderReport PowderOptimizer::run() {
           &selection_stats);
       if (best == cands.size()) break;  // nothing left that helps
 
-      CandidateSub chosen = take_pick(&cands, best);
-      tombstones = 1;
+      CandidateSub chosen = take_pick(memo, &cands, best);
       ProofNote note{options_.objective != Objective::kArea};
 
       if (!delay_ok(chosen, note)) continue;

@@ -6,6 +6,7 @@
 #include "opt/power_gain.hpp"
 #include "opt/substitution.hpp"
 #include "trace/trace.hpp"
+#include "util/prefix_sort.hpp"
 
 namespace powder {
 
@@ -133,6 +134,14 @@ double SelectionMemo::area_gain(const CandidateSub& c) const {
                                     : compute_area_gain(*netlist_, c);
 }
 
+std::size_t SelectionMemo::live(const std::vector<CandidateSub>& cands) const {
+  if (left_as_is(cands)) return live_.size();
+  return static_cast<std::size_t>(
+      std::count_if(cands.begin(), cands.end(), [](const CandidateSub& c) {
+        return c.target != kNullGate;
+      }));
+}
+
 std::size_t select_power_red_subst(
     SelectionMemo& memo, std::vector<CandidateSub>* cands,
     const PowderOptions& options,
@@ -142,54 +151,79 @@ std::size_t select_power_red_subst(
   const PowerModel& model = memo.model();
   const std::uint64_t epoch = netlist.epoch();
   const bool area_mode = options.objective == Objective::kArea;
+  // A round at the epoch the memo last ranked this list at, over the list
+  // as it left it, sees the same candidates with the same metrics: only
+  // the pick take_pick() dropped from live_ is gone.
+  const bool same = epoch == memo.epoch_ && memo.left_as_is(*cands);
   memo.begin_round();
   ++stats->rounds;
-  std::vector<std::size_t>& order = memo.order_;
-  std::vector<double>& metric = memo.metric_;
-  order.clear();
-  metric.resize(cands->size());
-  // One stable compaction pass: the survivors move down over the dropped.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < cands->size(); ++i) {
-    CandidateSub& c = (*cands)[i];
-    if (c.target == kNullGate) continue;  // a tombstone (take_pick)
-    if (c.gains_epoch != epoch) {
-      if (!keep(c)) continue;
-      if (memo.unchanged(c)) {
-        c.gains_epoch = epoch;
-        c.pg_c_memo = false;
-        ++stats->reused;
-      } else {
-        memo.rescore(&c, area_mode);
-        ++stats->rescored;
+  std::vector<std::uint32_t>& live = memo.live_;
+  std::vector<double>& metric = memo.live_metric_;
+  if (!same) {
+    // One stable compaction pass: the survivors move down over the dropped.
+    live.clear();
+    metric.clear();
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < cands->size(); ++i) {
+      CandidateSub& c = (*cands)[i];
+      if (c.target == kNullGate) continue;  // a tombstone (take_pick)
+      if (c.gains_epoch != epoch) {
+        if (!keep(c)) continue;
+        if (memo.unchanged(c)) {
+          c.gains_epoch = epoch;
+          c.pg_c_memo = false;
+          ++stats->reused;
+        } else {
+          memo.rescore(&c, area_mode);
+          ++stats->rescored;
+        }
       }
+      metric.push_back(area_mode ? memo.area_gain(c) : c.preselect_gain());
+      live.push_back(static_cast<std::uint32_t>(kept));
+      if (kept != i) (*cands)[kept] = std::move(c);
+      ++kept;
     }
-    metric[kept] = area_mode ? memo.area_gain(c) : c.preselect_gain();
-    order.push_back(kept);
-    if (kept != i) (*cands)[kept] = std::move(c);
-    ++kept;
+    cands->erase(cands->begin() + static_cast<std::ptrdiff_t>(kept),
+                 cands->end());
+    memo.list_ = cands;
+    memo.list_data_ = cands->data();
+    memo.list_size_ = cands->size();
   }
-  cands->erase(cands->begin() + static_cast<std::ptrdiff_t>(kept),
-               cands->end());
+  memo.pick_live_ = SelectionMemo::kNoPick;
   std::size_t best = cands->size();
-  if (order.empty()) return best;
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return metric[x] > metric[y];
-  });
-  order.resize(std::min(order.size(),
-                        static_cast<std::size_t>(options.shortlist)));
+  if (live.empty()) return best;
+  // The sort sees the keys in list order, as a std::sort over the compacted
+  // list would, and its top k land where that sort puts them.
+  std::vector<SelectionMemo::RankKey>& ranked = memo.ranked_;
+  ranked.resize(live.size());
+  for (std::size_t p = 0; p < live.size(); ++p)
+    ranked[p] = {metric[p], static_cast<std::uint32_t>(p)};
+  const std::size_t k =
+      std::min(ranked.size(),
+               area_mode ? std::size_t{1}
+                         : static_cast<std::size_t>(options.shortlist));
+  prefix_sort(ranked.begin(), ranked.end(), k,
+              [](const SelectionMemo::RankKey& x,
+                 const SelectionMemo::RankKey& y) {
+                return x.metric > y.metric;
+              });
   double best_gain = options.min_gain;
   if (area_mode) {
     // Area gain is exact — no shortlist re-estimation needed.
-    return metric[order[0]] > best_gain ? order[0] : best;
+    if (ranked[0].metric > best_gain) {
+      memo.pick_live_ = ranked[0].live;
+      best = live[ranked[0].live];
+    }
+    return best;
   }
   // Traced only when some PG_C is computed: a round served from the memo
   // costs nothing worth a trace event.
   const long evaluations = stats->pgc_evaluations;
   const std::uint64_t t0 =
       options.trace.trace != nullptr ? trace_now_ns() : 0;
-  for (const std::size_t k : order) {
-    CandidateSub& c = (*cands)[k];
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::size_t i = live[ranked[r].live];
+    CandidateSub& c = (*cands)[i];
     if (c.pg_c_memo) {
       ++stats->pgc_memo_hits;
     } else {
@@ -199,7 +233,8 @@ std::size_t select_power_red_subst(
     }
     if (c.total_gain() > best_gain) {
       best_gain = c.total_gain();
-      best = k;
+      best = i;
+      memo.pick_live_ = ranked[r].live;
     }
   }
   if (options.trace.trace != nullptr && stats->pgc_evaluations > evaluations)
@@ -209,10 +244,22 @@ std::size_t select_power_red_subst(
   return best;
 }
 
-CandidateSub take_pick(std::vector<CandidateSub>* cands, std::size_t best) {
+CandidateSub take_pick(SelectionMemo& memo, std::vector<CandidateSub>* cands,
+                       std::size_t best) {
+  const bool ranked_pick = memo.left_as_is(*cands) &&
+                           memo.pick_live_ != SelectionMemo::kNoPick &&
+                           memo.live_[memo.pick_live_] == best;
   CandidateSub& slot = (*cands)[best];
   CandidateSub pick = std::move(slot);
   slot.target = kNullGate;
+  if (ranked_pick) {
+    const auto at = static_cast<std::ptrdiff_t>(memo.pick_live_);
+    memo.live_.erase(memo.live_.begin() + at);
+    memo.live_metric_.erase(memo.live_metric_.begin() + at);
+  } else {
+    memo.list_ = nullptr;  // not the round's pick: the next round compacts
+  }
+  memo.pick_live_ = SelectionMemo::kNoPick;
   return pick;
 }
 

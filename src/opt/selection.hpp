@@ -25,11 +25,15 @@
 // every new epoch. An evicted delta log, a full model refresh or a rebuilt
 // netlist re-scores everything (DESIGN.md §13.1).
 //
-// A pick leaves its list in O(1): take_pick() moves it out and leaves a
-// tombstone that the next round's stable compaction pass — which visits
-// every candidate anyway — drops, so the sort input is the same as if the
-// pick had been erased. The round's order and metric vectors live in the
-// memo and are reused from round to round (DESIGN.md §6.1).
+// Most picks fail the delay check or the proof and leave the netlist as it
+// was, so the next round sees the same epoch and the same metrics. Such a
+// round costs O(n) and moves no candidate: the memo keeps the previous
+// round's survivors (their list positions and metrics, in list order),
+// take_pick() drops the pick from them and leaves a tombstone in the list,
+// and the round ranks what is left with prefix_sort, which puts the top k
+// exactly where std::sort would. Only a round at a new epoch — which
+// re-checks validity anyway — compacts the list and drops the tombstones
+// (DESIGN.md §6.1).
 
 #include <cstddef>
 #include <cstdint>
@@ -72,6 +76,9 @@ class SelectionMemo {
   void rescore(CandidateSub* c, bool area);
   /// The area gain of the last rescore(c, true).
   double area_gain(const CandidateSub& c) const;
+  /// The candidates of `cands` that are not tombstones: O(1) for a list
+  /// this memo ranked last, a count otherwise.
+  std::size_t live(const std::vector<CandidateSub>& cands) const;
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
@@ -116,32 +123,58 @@ class SelectionMemo {
   PgaReads reads_;
   std::vector<std::uint64_t> keys_;
 
-  // Round scratch of select_power_red_subst, reused across the rounds.
+  // The list select_power_red_subst ranked last (at epoch_): which list,
+  // its buffer and size; its live candidates (list positions and metrics,
+  // in list order); the round's pick. A round at the same epoch over a
+  // list the memo left as it was — apart from take_pick()'s tombstone —
+  // ranks `live_` again without a pass over the list.
   friend std::size_t select_power_red_subst(
       SelectionMemo&, std::vector<CandidateSub>*, const PowderOptions&,
       const std::function<bool(const CandidateSub&)>&, SelectionStats*);
-  std::vector<std::size_t> order_;
-  std::vector<double> metric_;
+  friend CandidateSub take_pick(SelectionMemo&, std::vector<CandidateSub>*,
+                                std::size_t);
+  static constexpr std::size_t kNoPick = ~std::size_t{0};
+  struct RankKey {
+    double metric;
+    std::uint32_t live;  ///< position in live_
+  };
+  bool left_as_is(const std::vector<CandidateSub>& cands) const {
+    return list_ == &cands && list_data_ == cands.data() &&
+           list_size_ == cands.size();
+  }
+  const std::vector<CandidateSub>* list_ = nullptr;
+  const CandidateSub* list_data_ = nullptr;
+  std::size_t list_size_ = 0;
+  std::vector<std::uint32_t> live_;
+  std::vector<double> live_metric_;
+  std::size_t pick_live_ = kNoPick;  ///< live_ position of the last pick
+  std::vector<RankKey> ranked_;
 };
 
 /// One selection round over `*cands` under `options`' objective, shortlist
-/// and min_gain. Candidates whose validity is stale are re-checked with
-/// `keep`; those it rejects are dropped (the callback does the caller's
-/// accounting), tombstones left by take_pick() are dropped silently, and
-/// the rest keep their order — one stable compaction pass. pg_a/pg_b of
-/// the survivors are re-scored where `memo` says something they read
-/// changed, pg_c where stale. Returns the index of the pick, or the
-/// candidate count when nothing helps.
+/// and min_gain. At a new epoch, candidates whose validity is stale are
+/// re-checked with `keep`; those it rejects are dropped (the callback does
+/// the caller's accounting), tombstones are dropped silently, and the rest
+/// keep their order — one stable compaction pass. pg_a/pg_b of the
+/// survivors are re-scored where `memo` says something they read changed,
+/// pg_c where stale. At an unchanged epoch over a list `memo` left as it was
+/// (take_pick() aside), the list is neither moved nor re-read: its live
+/// candidates keep their metrics, and tombstones may stay in it. Returns the
+/// index of the pick in `*cands`, or `cands->size()` when nothing helps.
+///
+/// Between rounds the list may change only by take_pick() or by a change of
+/// its size (an erased pick); either way the next round is exact.
 std::size_t select_power_red_subst(
     SelectionMemo& memo, std::vector<CandidateSub>* cands,
     const PowderOptions& options,
     const std::function<bool(const CandidateSub&)>& keep,
     SelectionStats* stats);
 
-/// Moves the pick out of `*cands` in O(1), leaving a tombstone in its slot
-/// that the next round's compaction drops, as if the pick had been erased.
-/// Most picks fail the delay check or the proof, so erasing each one would
-/// shift the whole list every round.
-CandidateSub take_pick(std::vector<CandidateSub>* cands, std::size_t best);
+/// Moves the pick out of `*cands` in O(1), leaving a tombstone
+/// (`target == kNullGate`) in its slot, as if the pick had been erased. Most
+/// picks fail the delay check or the proof, so erasing each one would shift
+/// the whole list every round.
+CandidateSub take_pick(SelectionMemo& memo, std::vector<CandidateSub>* cands,
+                       std::size_t best);
 
 }  // namespace powder

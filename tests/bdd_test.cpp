@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bdd/bdd.hpp"
 #include "bdd/netlist_bdd.hpp"
 #include "util/rng.hpp"
@@ -71,6 +74,61 @@ TEST(Bdd, RandomEquivalenceWithTruthTables) {
     const BddRef r = bdd_from_truth_table(mgr, f, args);
     for (std::uint64_t m = 0; m < 16; ++m)
       EXPECT_EQ(mgr.evaluate(r, m), f.bit(m));
+  }
+}
+
+// bdd_from_truth_table expands a table of at most six variables on its one
+// word; it must make the generic path's ite calls in the same order. Both
+// paths get the same arguments — projections and composite functions — in
+// fresh managers (the same refs and node counts show the same calls) and in
+// one manager (the second build finds every node the first made).
+TEST(NetlistBdd, WordExpansionMatchesGenericPath) {
+  constexpr int kVars = 8;
+  auto expect_same = [](const TruthTable& tt, int shape,
+                        const std::string& what) {
+    auto make_args = [&](BddManager& mgr) {
+      std::vector<BddRef> args;
+      for (int i = 0; i < tt.num_vars(); ++i) {
+        const BddRef v = mgr.var(i);
+        if (shape == 0)
+          args.push_back(v);
+        else if (shape == 1)
+          args.push_back(mgr.bdd_xor(v, mgr.var(kVars - 1 - i)));
+        else
+          args.push_back(mgr.bdd_and(mgr.var((i + 3) % kVars),
+                                     mgr.bdd_not(v)));
+      }
+      return args;
+    };
+    BddManager word_mgr(kVars), generic_mgr(kVars);
+    const std::vector<BddRef> word_args = make_args(word_mgr);
+    const std::vector<BddRef> generic_args = make_args(generic_mgr);
+    const BddRef w = bdd_from_truth_table(word_mgr, tt, word_args);
+    const BddRef g =
+        bdd_from_truth_table_generic(generic_mgr, tt, generic_args);
+    EXPECT_EQ(w, g) << what;
+    EXPECT_EQ(word_mgr.num_nodes(), generic_mgr.num_nodes()) << what;
+    const std::size_t nodes = word_mgr.num_nodes();
+    EXPECT_EQ(bdd_from_truth_table_generic(word_mgr, tt, word_args), w)
+        << what;
+    EXPECT_EQ(word_mgr.num_nodes(), nodes) << what;
+  };
+  const CellLibrary lib = CellLibrary::standard();
+  for (const Cell& cell : lib.cells())
+    for (int shape = 0; shape < 3; ++shape)
+      expect_same(cell.function, shape, cell.name);
+  Rng rng(11);
+  for (int n = 0; n <= 6; ++n) {
+    for (int trial = 0; trial < 40; ++trial) {
+      TruthTable tt(n);
+      // Sparse, dense and even tables: constants and don't-care variables
+      // take the expansion's early exits.
+      const double p = trial % 4 == 0 ? 0.05 : trial % 4 == 1 ? 0.95 : 0.5;
+      for (std::uint64_t m = 0; m < tt.num_minterms_capacity(); ++m)
+        tt.set_bit(m, rng.flip(p));
+      expect_same(tt, trial % 3,
+                  std::to_string(n) + " vars, trial " + std::to_string(trial));
+    }
   }
 }
 

@@ -144,8 +144,9 @@ struct GreedyBench {
             },
             &stats);
         if (best >= cands.size()) break;
-        const CandidateSub chosen = cands[best];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
+        // The optimizer's way: a tombstone, which a round at an unchanged
+        // epoch leaves in the list.
+        const CandidateSub chosen = take_pick(memo, &cands, best);
         ++checks;
         if (check_parity(nl, timing, chosen, limit, label).violates) {
           ++rejected;

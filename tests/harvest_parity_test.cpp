@@ -395,8 +395,9 @@ struct HarvestBench {
             },
             &stats);
         if (best >= cands.size()) break;
-        const CandidateSub chosen = cands[best];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
+        // The optimizer's way: a tombstone, which a round at an unchanged
+        // epoch leaves in the list.
+        const CandidateSub chosen = take_pick(memo, &cands, best);
         AtpgChecker atpg(nl);
         if (atpg.check_replacement(chosen.site(), chosen.rep) !=
             AtpgResult::kUntestable)

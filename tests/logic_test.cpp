@@ -58,6 +58,59 @@ TEST(TruthTable, CofactorAndDependence) {
   EXPECT_TRUE(f.cofactor(2, false).is_constant(false));
 }
 
+// is_constant and depends_on read the words in place; they must agree with
+// their definitions: equality with a constant table, and two cofactors
+// that differ.
+void expect_predicates_match_definitions(const TruthTable& f) {
+  for (const bool value : {false, true})
+    EXPECT_EQ(f.is_constant(value),
+              f == TruthTable::constant(f.num_vars(), value))
+        << f.to_hex() << " constant " << value;
+  for (int v = 0; v < f.num_vars(); ++v)
+    EXPECT_EQ(f.depends_on(v), f.cofactor(v, false) != f.cofactor(v, true))
+        << f.to_hex() << " var " << v;
+}
+
+TEST(TruthTable, PredicatesMatchCofactorDefinitionsExhaustively) {
+  for (int n = 0; n <= 4; ++n) {
+    const std::uint64_t minterms = std::uint64_t{1} << n;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << minterms);
+         ++bits) {
+      TruthTable f(n);
+      for (std::uint64_t m = 0; m < minterms; ++m)
+        f.set_bit(m, ((bits >> m) & 1) != 0);
+      expect_predicates_match_definitions(f);
+    }
+  }
+}
+
+TEST(TruthTable, PredicatesMatchCofactorDefinitionsOnWideTables) {
+  Rng rng(23);
+  for (int n = 5; n <= 10; ++n) {
+    for (int trial = 0; trial < 30; ++trial) {
+      TruthTable f(n);
+      // Random tables depend on every variable; a table built from a few
+      // variables (the others unread) and the constants exercise the
+      // "no" answers, above variable 5 too.
+      if (trial % 3 == 0) {
+        for (std::uint64_t m = 0; m < f.num_minterms_capacity(); ++m)
+          f.set_bit(m, rng.flip(0.5));
+      } else if (trial % 3 == 1) {
+        const int a = static_cast<int>(rng.below(n));
+        const int b = static_cast<int>(rng.below(n));
+        f = TruthTable::variable(n, a) ^ (TruthTable::variable(n, b) &
+                                          TruthTable::variable(n, n - 1));
+      } else {
+        // Constants, and a single minterm (zero but for one word).
+        f = TruthTable::constant(n, trial % 2 == 0);
+        if (trial % 4 == 1)
+          f.set_bit(rng.below(f.num_minterms_capacity()), true);
+      }
+      expect_predicates_match_definitions(f);
+    }
+  }
+}
+
 TEST(TruthTable, PermuteRoundTrip) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {

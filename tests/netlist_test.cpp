@@ -312,6 +312,7 @@ TEST_F(NetlistTest, LostFanoutPullsBoundaryCellIntoCandidateMffc) {
   const auto keep = [](const CandidateSub&) { return true; };
   (void)select_power_red_subst(memo, &cands, opt, keep, &stats);
   ASSERT_EQ(cands.size(), 1u);
+  EXPECT_EQ(memo.live(cands), 1u);
   EXPECT_EQ(nl_.mffc(t), std::vector<GateId>{t});  // g still feeds y
   const double before = cands[0].pg_a;
 

@@ -7,16 +7,22 @@
 // the same survivors in the same order with pg_a/pg_b/pg_c and area gains
 // equal bit for bit, and the same pick.
 //
-// The memo's list takes its picks the optimizer's way (take_pick leaves a
-// tombstone the next round drops); the reference erases them.
+// The memo's list takes its picks the optimizer's way: take_pick leaves a
+// tombstone, and a round at an unchanged epoch ranks the memo's live list
+// again (prefix_sort) without compacting or re-reading the candidates. The
+// reference erases its picks and ranks with std::sort. Each round compares
+// the memo list's live candidates, in order, with the reference list, and
+// the pick by its live position. Storms also erase some picks from the
+// memo's list, which the next round must notice.
 //
 // Inputs: greedy picks (select -> delay -> proof -> commit, the optimizer's
 // order) on the quick suite under the zero-delay model, the timed model at
 // 64 vector pairs, a delay limit of 1.0 and the area objective; scale500;
 // and commit/rollback storms that undo single commits the way the signature
 // guard does, undo several at once (reviving swept gates), overflow the
-// delta log, force a full model refresh and resize gates between two
-// rounds.
+// delta log, force a full model refresh, resize gates and erase picks
+// between two rounds. Last, the optimizer's own round count is pinned on
+// t481 (zero-delay and timed) and on scale4000 with a delay limit of 1.0.
 
 #include <gtest/gtest.h>
 
@@ -139,6 +145,14 @@ struct Storm {
   bool overflow_log = false;     ///< > 1024 deltas between two rounds
   bool full_refresh = false;     ///< a full model estimate between rounds
   bool resize = false;           ///< swap inverter sizes every fourth commit
+  bool erase_picks = false;      ///< erase every third pick, not take it
+};
+
+/// Where a round's pick sits: its index in the memo's list (which may hold
+/// tombstones) and in the reference list.
+struct Picks {
+  std::size_t fast;
+  std::size_t ref;
 };
 
 /// One netlist, one model, and two copies of every harvest: one selected
@@ -167,8 +181,8 @@ struct SelectionBench {
   }
 
   /// One round both ways; asserts parity and returns the pick.
-  std::size_t round(SelectionMemo& memo, std::vector<CandidateSub>* fast,
-                    std::vector<CandidateSub>* ref, const std::string& where) {
+  Picks round(SelectionMemo& memo, std::vector<CandidateSub>* fast,
+              std::vector<CandidateSub>* ref, const std::string& where) {
     std::vector<std::pair<GateId, bool>> verdicts_fast, verdicts_ref;
     const auto keep_into = [&](std::vector<std::pair<GateId, bool>>* out) {
       return [this, out](const CandidateSub& c) {
@@ -182,12 +196,25 @@ struct SelectionBench {
     const std::size_t want = reference_select(
         nl, model(), ref, opt, keep_into(&verdicts_ref), &ref_stats);
     ++rounds;
+    // The memo's list, tombstones skipped, against the reference's.
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < fast->size(); ++i)
+      if ((*fast)[i].target != kNullGate) live.push_back(i);
+    if (live.size() < fast->size()) ++lazy_rounds;
+    EXPECT_EQ(memo.live(*fast), live.size()) << where;
     EXPECT_EQ(verdicts_fast, verdicts_ref) << where;
-    EXPECT_EQ(got, want) << where;
-    EXPECT_EQ(fast->size(), ref->size()) << where;
-    if (fast->size() != ref->size()) return want;
-    for (std::size_t i = 0; i < fast->size(); ++i) {
-      const CandidateSub& f = (*fast)[i];
+    // A pick that is not live (a tombstone) matches no reference index.
+    const auto at = std::find(live.begin(), live.end(), got);
+    std::size_t got_live = std::numeric_limits<std::size_t>::max();
+    if (got == fast->size())
+      got_live = ref->size();
+    else if (at != live.end())
+      got_live = static_cast<std::size_t>(at - live.begin());
+    EXPECT_EQ(got_live, want) << where;
+    EXPECT_EQ(live.size(), ref->size()) << where;
+    if (live.size() != ref->size()) return {got, want};
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      const CandidateSub& f = (*fast)[live[i]];
       const CandidateSub& r = (*ref)[i];
       EXPECT_TRUE(same_site(f, r)) << where << " candidate " << i;
       EXPECT_TRUE(same_bits(f.pg_a, r.pg_a))
@@ -206,7 +233,7 @@ struct SelectionBench {
             << where << " candidate " << i << " area gain";
       }
     }
-    return want;
+    return {got, want};
   }
 
   bool delay_ok(const CandidateSub& c) {
@@ -226,18 +253,33 @@ struct SelectionBench {
       std::vector<CandidateSub> ref = finder->find();
       std::vector<CandidateSub> fast = ref;
       SelectionMemo memo(nl, model());
+      bool took_pick = false;
+      std::uint64_t pick_epoch = 0;
       int commits = 0;
       std::size_t journal_at_harvest = journal.size();
       for (int r = 0; commits < max_commits; ++r) {
         const std::string where = label + " " + tag + " harvest " +
                                   std::to_string(it) + " round " +
                                   std::to_string(r);
-        const std::size_t best = round(memo, &fast, &ref, where);
-        if (::testing::Test::HasFailure() || best >= fast.size()) break;
-        // The optimizer's pick leaves a tombstone that the next round's
-        // compaction drops; the reference erases it.
-        const CandidateSub chosen = take_pick(&fast, best);
-        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best));
+        // A round right after take_pick at an unchanged epoch must rank
+        // the memo's live list without compacting it; any other compacts.
+        if (took_pick && nl.epoch() == pick_epoch) ++expected_lazy_rounds;
+        const Picks best = round(memo, &fast, &ref, where);
+        if (::testing::Test::HasFailure() || best.ref >= ref.size()) break;
+        took_pick = !(storm.erase_picks && picks % 3 == 2);
+        pick_epoch = nl.epoch();
+        // The optimizer's pick leaves a tombstone in the memo's list; the
+        // reference erases it.
+        CandidateSub chosen;
+        if (!took_pick) {
+          chosen = fast[best.fast];
+          fast.erase(fast.begin() + static_cast<std::ptrdiff_t>(best.fast));
+          ++erased_picks;
+        } else {
+          chosen = take_pick(memo, &fast, best.fast);
+        }
+        ++picks;
+        ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(best.ref));
         if (!delay_ok(chosen)) continue;
         AtpgChecker atpg(nl);
         if (atpg.check_replacement(chosen.site(), chosen.rep) !=
@@ -298,6 +340,7 @@ struct SelectionBench {
     EXPECT_EQ(fast_stats.pgc_evaluations, ref_stats.pgc_evaluations) << label;
     EXPECT_EQ(fast_stats.pgc_memo_hits, ref_stats.pgc_memo_hits) << label;
     EXPECT_EQ(fast_stats.rounds, rounds) << label;
+    EXPECT_EQ(lazy_rounds, expected_lazy_rounds) << label;
   }
 
   PowderOptions opt;
@@ -313,6 +356,10 @@ struct SelectionBench {
   SelectionStats fast_stats;
   SelectionStats ref_stats;
   long rounds = 0;
+  long lazy_rounds = 0;  ///< rounds that left tombstones in the memo's list
+  long expected_lazy_rounds = 0;
+  long picks = 0;
+  long erased_picks = 0;
   long guard_rollbacks = 0;
   long mass_rollbacks = 0;
   long overflows = 0;
@@ -364,17 +411,21 @@ TEST(SelectionParityScaleTest, Scale500GreedyPicks) {
 class SelectionStormTest : public ::testing::TestWithParam<Mode> {};
 
 TEST_P(SelectionStormTest, CommitRollbackStorm) {
+  long lazy_rounds = 0;
   for (const char* name : {"misex3", "duke2"}) {
     SelectionBench b(quick(name), GetParam());
     b.label = std::string(name) + " " + b.label;
-    b.run(2, 12, Storm{true, true, true, true, true}, "storm");
+    b.run(2, 12, Storm{true, true, true, true, true, true}, "storm");
     expect_both_paths(b);
+    EXPECT_GT(b.erased_picks, 0) << b.label;
+    lazy_rounds += b.lazy_rounds;
     EXPECT_GT(b.guard_rollbacks, 0) << b.label;
     EXPECT_GT(b.mass_rollbacks, 0) << b.label;
     EXPECT_GT(b.overflows, 0) << b.label;
     EXPECT_GT(b.full_refreshes, 0) << b.label;
     EXPECT_GT(b.resizes, 0) << b.label;
   }
+  EXPECT_GT(lazy_rounds, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, SelectionStormTest,
@@ -388,9 +439,39 @@ INSTANTIATE_TEST_SUITE_P(Models, SelectionStormTest,
 TEST(SelectionStormScaleTest, Scale500CommitRollbackStorm) {
   SelectionBench b(make_scale_netlist(500), Mode::kZeroDelay);
   b.label = "scale500";
-  b.run(2, 20, Storm{true, true, true, true, true}, "storm");
+  b.run(2, 20, Storm{true, true, true, true, true, true}, "storm");
   expect_both_paths(b);
+  EXPECT_GT(b.erased_picks, 0);
   EXPECT_GT(b.guard_rollbacks, 0);
+}
+
+// The optimizer's loop ends when no live candidate is left. Picks now leave
+// tombstones in the list across rounds, so a loop that tested the list's
+// size would run extra rounds. These counts are those of the loop that
+// compacted its list in every round.
+TEST(SelectionRoundCountTest, OptimizerRoundsUnchanged) {
+  {
+    Netlist nl = quick("t481");
+    const PowderReport r = PowderOptimizer(&nl, PowderOptions{}).run();
+    EXPECT_EQ(r.diagnostics.selection.rounds, 915) << "t481 zero-delay";
+  }
+  {
+    Netlist nl = quick("t481");
+    PowderOptions opt;
+    opt.power_model = PowerModelKind::kTimed;
+    opt.glitch.num_vector_pairs = 64;
+    const PowderReport r = PowderOptimizer(&nl, opt).run();
+    EXPECT_EQ(r.diagnostics.selection.rounds, 512) << "t481 timed";
+  }
+  {
+    Netlist nl = make_scale_netlist(4000);
+    PowderOptions opt;
+    opt.delay_limit_factor = 1.0;
+    opt.threads = 2;
+    const PowderReport r = PowderOptimizer(&nl, opt).run();
+    EXPECT_EQ(r.diagnostics.selection.rounds, 3278)
+        << "scale4000 --delay-limit 1.0";
+  }
 }
 
 }  // namespace
