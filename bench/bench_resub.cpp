@@ -1,22 +1,17 @@
 // Generalized-resubstitution experiment (DESIGN.md §12): on a
-// make_scale_netlist instance, measure what the two extensions beyond the
-// paper's OS2/IS2/OS3/IS3 classes buy:
+// make_scale_netlist instance, measure what the k-input extension beyond
+// the paper's OS2/IS2/OS3/IS3 classes buys. The default greedy loop runs
+// twice, with the pair classes only and with max_divisors >= 3; the second
+// run must find and commit OSK/ISK wins that the pair classes structurally
+// cannot express (a k-input gate replacing a deeper cone).
 //
-//   * funcred — the functional-reduction pre-pass alone (greedy harvest
-//     capped to zero) must strictly reduce the live gate count: every tile
-//     of the scale generator plants a duplicate leaf (r1 computes exactly
-//     a1), so merges > 0 is a property of the generator, not luck;
-//   * k-resub — with max_divisors >= 3 the harvest must find and commit
-//     OSK/ISK wins that the pair classes structurally cannot express
-//     (a k-input gate replacing a deeper cone).
-//
-// Emits BENCH_resub.json and exits nonzero unless both hold and no
+// Emits BENCH_resub.json and exits nonzero unless that holds and no
 // signature guard tripped. Registered as the ctest test `bench_resub`
 // (label `resub`).
 //
 // Knobs: POWDER_SCALE_GATES (default 20000), POWDER_PATTERNS (default
-// 256), POWDER_REPEAT (default 4), POWDER_OUTER (default 1),
-// POWDER_MAX_DIVISORS (default 3).
+// 256), POWDER_REPEAT and POWDER_OUTER (default: the PowderOptions
+// defaults), POWDER_MAX_DIVISORS (default 3).
 
 #include <chrono>
 #include <cstdio>
@@ -67,7 +62,6 @@ void json_mode(std::ostringstream& os, const char* key, const ModeRun& m) {
      << ",\"power_before\":" << m.report.initial_power
      << ",\"power_after\":" << m.report.final_power
      << ",\"applied\":" << m.report.substitutions_applied
-     << ",\"funcred_merges\":" << m.report.diagnostics.resub.funcred_merges
      << ",\"k_applied\":" << k_applied(m.report) << ",\"guard_failed\":"
      << (m.report.diagnostics.guard_failed ? "true" : "false") << "}";
 }
@@ -83,25 +77,15 @@ int main() {
   std::printf("scale netlist: %d gates, %d PIs, %d POs\n", input.num_cells(),
               input.num_inputs(), input.num_outputs());
 
+  const PowderOptions defaults;
   auto base = [&]() {
     return PowderOptions::builder()
         .patterns(patterns)
-        .repeat(env_int("POWDER_REPEAT", 4))
-        .max_outer_iterations(env_int("POWDER_OUTER", 1))
+        .repeat(env_int("POWDER_REPEAT", defaults.repeat))
+        .max_outer_iterations(
+            env_int("POWDER_OUTER", defaults.max_outer_iterations))
         .threads(env_int("POWDER_THREADS", 1));
   };
-
-  // Funcred in isolation: cap the greedy harvest to zero candidates so the
-  // only edits are pre-pass merges; the live gate count must strictly drop.
-  CandidateOptions funcred_only;
-  funcred_only.max_candidates = 0;
-  const ModeRun funcred_run =
-      run_mode(input, base().candidates(funcred_only).funcred(true).build());
-  std::printf("funcred:  %6.1f ms, %d -> %d gates, %lld merges\n",
-              funcred_run.wall_ms, funcred_run.gates_before,
-              funcred_run.gates_after,
-              static_cast<long long>(
-                  funcred_run.report.diagnostics.resub.funcred_merges));
 
   // Paper classes only (the baseline the extensions are measured against).
   const ModeRun pair_run = run_mode(input, base().build());
@@ -109,24 +93,15 @@ int main() {
               pair_run.wall_ms, pair_run.gates_before, pair_run.gates_after,
               pair_run.report.substitutions_applied);
 
-  // Full framework: funcred pre-pass plus OSK/ISK harvest.
-  const ModeRun k_run = run_mode(
-      input, base().funcred(true).max_divisors(max_divisors).build());
+  // Full framework: the pair classes plus the OSK/ISK harvest.
+  const ModeRun k_run =
+      run_mode(input, base().max_divisors(max_divisors).build());
   std::printf(
       "k-resub:  %6.1f ms, %d -> %d gates, %d applied (%ld OSK/ISK)\n",
       k_run.wall_ms, k_run.gates_before, k_run.gates_after,
       k_run.report.substitutions_applied, k_applied(k_run.report));
 
   bool ok = true;
-  if (funcred_run.report.diagnostics.resub.funcred_merges <= 0) {
-    std::fprintf(stderr, "FAIL: funcred merged nothing on scale input\n");
-    ok = false;
-  }
-  if (funcred_run.gates_after >= funcred_run.gates_before) {
-    std::fprintf(stderr, "FAIL: funcred did not reduce live gates (%d -> %d)\n",
-                 funcred_run.gates_before, funcred_run.gates_after);
-    ok = false;
-  }
   if (k_applied(k_run.report) < 1) {
     std::fprintf(stderr,
                  "FAIL: no OSK/ISK commit at max_divisors=%d — the k-harvest "
@@ -134,8 +109,7 @@ int main() {
                  max_divisors);
     ok = false;
   }
-  if (funcred_run.report.diagnostics.guard_failed ||
-      pair_run.report.diagnostics.guard_failed ||
+  if (pair_run.report.diagnostics.guard_failed ||
       k_run.report.diagnostics.guard_failed) {
     std::fprintf(stderr, "FAIL: a signature guard failed\n");
     ok = false;
@@ -146,8 +120,6 @@ int main() {
   json << "{\"powder_build_type\":\"" << bench::build_type()
        << "\",\"gates\":" << gates << ",\"patterns\":" << patterns
        << ",\"max_divisors\":" << max_divisors << ",";
-  json_mode(json, "funcred_only", funcred_run);
-  json << ",";
   json_mode(json, "pairs_only", pair_run);
   json << ",";
   json_mode(json, "k_resub", k_run);

@@ -136,7 +136,8 @@ std::string PowderReport::to_json() const {
         "\"window_gates_total\":0}";
   os << ",\"resub\":{";
   bool rf = true;
-  append_field(os, "funcred_merges", diagnostics.resub.funcred_merges, &rf);
+  // Retired within schema 5 with the functional-reduction pre-pass.
+  append_field(os, "funcred_merges", 0L, &rf);
   append_field(os, "harvest_truncated", diagnostics.resub.harvest_truncated,
                &rf);
   append_field(os, "harvest_sites", diagnostics.resub.harvest_sites, &rf);

@@ -61,8 +61,7 @@ namespace powder {
 class TraceSession;
 
 /// Knobs of the generalized resubstitution framework: how far beyond the
-/// paper's pair classes the harvest reaches, and whether the
-/// functional-reduction pre-pass runs before the greedy loop.
+/// paper's pair classes the harvest reaches.
 struct ResubOptions {
   bool enable_three_subs = true;
   int three_sub_b_pool = 20;    ///< first operands tried for OS3/IS3
@@ -73,9 +72,6 @@ struct ResubOptions {
   int max_divisors = 2;
   int ksub_b_pool = 10;         ///< divisor pool prefix for OSK/ISK tuples
   int max_k_per_target = 4;     ///< OSK/ISK candidates kept per site
-  /// Run the functional-reduction pre-pass (signature-grouped equivalence
-  /// merging) before the greedy loop.
-  bool funcred = false;
 };
 
 struct CandidateOptions {

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "bdd/netlist_bdd.hpp"
-#include "opt/funcred.hpp"
 #include "opt/journal.hpp"
 #include "opt/power_gain.hpp"
 #include "opt/selection.hpp"
@@ -273,9 +272,6 @@ PowderReport PowderOptimizer::run() {
   const Meter m_pairs_passed =
       meter("powder_three_sub_pairs_passed_total",
             "OS3/IS3 pairs that left some 2-input cell standing");
-  const Meter m_funcred =
-      meter("powder_funcred_merges_total",
-            "Signals merged away by the functional-reduction pre-pass");
   const Meter m_pgc_evals =
       meter("powder_pgc_evaluations_total",
             "PG_C values computed by the selection rounds");
@@ -570,28 +566,6 @@ PowderReport PowderOptimizer::run() {
     return false;
   };
 
-  // Commit accounting, shared by the commit step and the pre-pass: class
-  // statistics, the rollback-aligned commit log, attribution, progress.
-  // Power and area totals are cached by the model and the netlist, so the
-  // reads before and after a commit cost a re-sum at most.
-  auto book_commit = [&](SubstClass cls, double power_before,
-                         double area_before) {
-    const double power_after = model.total_power();
-    const double power_delta = power_before - power_after;
-    const double area_delta = netlist_->total_area() - area_before;
-    ClassStats& stats = report.by_class[static_cast<std::size_t>(cls)];
-    ++stats.applied;
-    stats.power_delta += power_delta;
-    stats.area_delta += area_delta;
-    commit_log.push_back(CommitRecord{cls, power_delta, area_delta});
-    if (attr != nullptr)
-      attr->record_commit(static_cast<int>(cls), power_delta);
-    if (prog != nullptr)
-      prog->commit(audit_iteration, subst_class_name(cls), power_delta,
-                   power_after);
-    m_applied.c->inc();
-  };
-
   // ---- the commit step: perform_substitution + power_estimate_update -----
   // The one place a proved candidate reaches the netlist: journal apply,
   // resync, the PO-signature guard (rolling back on a mismatch), accounting,
@@ -640,7 +614,23 @@ PowderReport PowderOptimizer::run() {
       return false;
     }
 
-    book_commit(cand.cls, power_before, area_before);
+    // Accounting: class statistics, the rollback-aligned commit log,
+    // attribution, progress. Power and area totals are cached by the model
+    // and the netlist, so these reads cost a re-sum at most.
+    const double power_after = model.total_power();
+    const double power_delta = power_before - power_after;
+    const double area_delta = netlist_->total_area() - area_before;
+    ClassStats& stats = report.by_class[static_cast<std::size_t>(cand.cls)];
+    ++stats.applied;
+    stats.power_delta += power_delta;
+    stats.area_delta += area_delta;
+    commit_log.push_back(CommitRecord{cand.cls, power_delta, area_delta});
+    if (attr != nullptr)
+      attr->record_commit(static_cast<int>(cand.cls), power_delta);
+    if (prog != nullptr)
+      prog->commit(audit_iteration, subst_class_name(cand.cls), power_delta,
+                   power_after);
+    m_applied.c->inc();
     if (resume.active()) {
       // Replay verification: while the WAL cursor runs, every commit must
       // be the next recorded one and reproduce its delta bit for bit. A WAL
@@ -664,69 +654,6 @@ PowderReport PowderOptimizer::run() {
     progress = true;
     return true;
   };
-
-  // ---- functional-reduction pre-pass (DESIGN.md §12) ---------------------
-  // Runs on the whole netlist before the greedy loop; each merge carries its
-  // own permissibility proof and guard check. Merges are journaled and
-  // recorded as kPrepass WAL frames, so crash/resume replays them in
-  // lockstep before touching the commit cursor.
-  if (options_.candidates.resub.funcred) {
-    TraceSpan fr_span(trace, "funcred", "powder");
-    if (prog != nullptr) prog->phase(0, "funcred");
-    double fr_power = model.total_power();
-    double fr_area = netlist_->total_area();
-    FuncredHooks hooks;
-    hooks.prove = [&](const CandidateSub& cand) {
-      // Resume oracle: a recorded merge was proved by the original run; an
-      // unrecorded pair reaching this stage was rejected by it (the pass is
-      // deterministic, so the nomination order replays identically).
-      if (resume.prepass_active()) return resume.prepass_matches(cand);
-      const AtpgResult verdict = prove_replacement(
-          atpg, sat, options_.proof.engine, cand.site(), cand.rep);
-      m_inline.c->inc();
-      if (verdict != AtpgResult::kUntestable) {
-        m_proof_rej.c->inc();
-        audit_decision(cand, "rejected_proof",
-                       {false, engine_name(options_.proof.engine),
-                        verdict_name(verdict)});
-        return false;
-      }
-      return true;
-    };
-    hooks.resync = resync;
-    if (options_.guard.signature_check)
-      hooks.guard_ok = [&]() { return po_guard.ok(); };
-    hooks.on_commit = [&](const FuncredCommit& c) {
-      if (resume.prepass_active()) {
-        if (!same_applied(resume.prepass_current().applied, c.applied))
-          throw Error::input(
-              "resume diverged: a replayed pre-pass merge produced a "
-              "different netlist delta than the checkpoint recorded");
-        resume.prepass_advance();
-      }
-      recorder.record_prepass(c.round, c.ordinal, c.cand, c.applied);
-      book_commit(ResubClass::kFuncRed, fr_power, fr_area);
-      audit_decision(c.cand, "accepted", {false, "funcred", "untestable"});
-      progress_tick();
-      fr_power = model.total_power();
-      fr_area = netlist_->total_area();
-    };
-    const FuncredStats fr =
-        functional_reduction(*netlist_, sim, journal, hooks, nullptr);
-    if (resume.prepass_active())
-      throw Error::input(
-          "resume diverged: the checkpoint records more pre-pass merges "
-          "than the pre-pass replayed");
-    m_funcred.c->inc(fr.merged);
-    m_guard_rb.c->inc(fr.guard_rollbacks);
-    constexpr auto kFr = static_cast<std::size_t>(ResubClass::kFuncRed);
-    m_cls_harvested[kFr].c->inc(fr.pairs_tested);
-    m_cls_proved[kFr].c->inc(fr.pairs_tested - fr.proof_rejected);
-    if (options_.check_invariants) netlist_->check_consistency();
-    fr_span.arg("merged", fr.merged);
-    fr_span.arg("rounds", fr.rounds);
-    fr_span.arg("pairs", fr.pairs_tested);
-  }
 
   for (int outer = 0;
        progress && !stopped && outer < options_.max_outer_iterations;
@@ -933,8 +860,6 @@ PowderReport PowderOptimizer::run() {
     pc.applied = report.by_class[k].applied;
     pc.gain = report.by_class[k].power_delta;
   }
-  report.diagnostics.resub.funcred_merges =
-      static_cast<long>(m_funcred.delta());
   report.diagnostics.resub.harvest_truncated =
       static_cast<long>(m_truncated.delta());
   report.diagnostics.resub.harvest_sites = static_cast<long>(m_sites.delta());

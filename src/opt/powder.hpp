@@ -233,11 +233,6 @@ class PowderOptions::Builder {
     opts_.candidates.resub = r;
     return *this;
   }
-  /// Enables/disables the functional-reduction pre-pass.
-  Builder& funcred(bool on) {
-    opts_.candidates.resub.funcred = on;
-    return *this;
-  }
   /// Largest divisor-set size the harvest proposes (2 = pair classes only).
   Builder& max_divisors(int k) {
     opts_.candidates.resub.max_divisors = k;
@@ -339,7 +334,7 @@ struct PowderReport {
     bool mem_limit_hit = false;   ///< RSS crossed session.mem_limit_bytes
 
     int threads_used = 1;    ///< resolved thread count of the run
-    long inline_proofs = 0;  ///< engine proofs: pre-pass and loop
+    long inline_proofs = 0;  ///< engine proofs run by the loop
 
     // Incremental-core accounting (DESIGN.md §6).
     long deltas_published = 0;        ///< netlist deltas this run published
@@ -376,7 +371,6 @@ struct PowderReport {
         double gain = 0.0;   ///< measured power reduction of the class
       };
       std::array<PerClass, kNumResubClasses> by_class;
-      long funcred_merges = 0;     ///< pre-pass equivalence merges kept
       long harvest_truncated = 0;  ///< candidates dropped by max_candidates
       long harvest_sites = 0;          ///< sites the harvests bounded
       long harvest_sites_matched = 0;  ///< sites matched, not bound-pruned

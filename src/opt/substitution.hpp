@@ -8,7 +8,6 @@
 //   OS3(a,b,c):   replace stem a by a NEW 2-input library gate g(b,c).
 //   IS3(a,b,c):   replace one branch of a by a new 2-input gate g(b,c).
 //   OSK/ISK:      stem/branch replaced by a new k-input gate (k >= 3).
-//   FUNCRED:      stem merged into an equivalent existing signal.
 //   OS2 by constant: special case used for unobservable stems.
 
 #include <array>

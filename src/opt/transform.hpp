@@ -13,13 +13,10 @@
 //   OS3(a,b,c)    stem site,   2 divisors, kTwoInput replacement
 //   IS3(a,b,c)    branch site, 2 divisors, kTwoInput replacement
 //
-// and the framework adds three more:
+// and the framework adds two more:
 //
 //   OSK/ISK       stem/branch site, k >= 3 divisors, kCell replacement
 //                 (a new k-input library gate over the divisor set)
-//   FUNCRED       stem site, 1 divisor, kSignal replacement proposed by
-//                 the functional-reduction pre-pass (signature-equal
-//                 signals merged before the greedy loop starts)
 //
 // Everything downstream of harvesting — the journal, the ATPG/SAT proof
 // dispatch, the WAL codec, and the audit log — consumes this IR: they
@@ -44,7 +41,10 @@ enum class ResubClass : std::uint8_t {
   kIS3,      ///< branch := new 2-input gate
   kOSK,      ///< stem := new k-input gate, k >= 3
   kISK,      ///< branch := new k-input gate, k >= 3
-  kFuncRed,  ///< stem := equivalent signal (functional-reduction pre-pass)
+  /// Retired slot with no producer: the functional-reduction pre-pass
+  /// that proposed it is gone. It keeps its column (all zero) in reports,
+  /// attribution and the per-class meters until the next format bump.
+  kFuncRed,
 };
 
 inline constexpr int kNumResubClasses = 7;

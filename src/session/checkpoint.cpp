@@ -90,7 +90,6 @@ std::uint64_t options_fingerprint(const PowderOptions& o) {
   h.i64(o.candidates.resub.max_divisors);
   h.i64(o.candidates.resub.ksub_b_pool);
   h.i64(o.candidates.resub.max_k_per_target);
-  h.i64(o.candidates.resub.funcred ? 1 : 0);
   h.i64(o.candidates.max_candidates);
   h.i64(o.candidates.allow_constants ? 1 : 0);
   h.i64(o.guard.signature_check ? 1 : 0);
@@ -154,33 +153,6 @@ void SessionRecorder::append_commit(int outer, int performed,
   }
   std::string err;
   if (!writer_.append(WalFrameType::kCommit, payload, &err)) {
-    degrade(err);
-    return;
-  }
-  ++frames_;
-  if (frames_counter_ != nullptr) frames_counter_->inc();
-  if (after_frame_) after_frame_(frames_);
-}
-
-void SessionRecorder::record_prepass(int round, int ordinal,
-                                     const CandidateSub& cand,
-                                     const AppliedSub& applied) {
-  if (!enabled()) return;
-  std::string payload;
-  try {
-    if (inject_fault(FaultInjector::Site::kAllocFail)) throw std::bad_alloc();
-    WalCommit commit;
-    commit.outer = static_cast<std::uint32_t>(round);
-    commit.performed = static_cast<std::uint32_t>(ordinal);
-    commit.cand = cand;
-    commit.applied = applied;
-    payload = encode_commit(commit);
-  } catch (const std::bad_alloc&) {
-    degrade("allocation failure while encoding prepass frame");
-    return;
-  }
-  std::string err;
-  if (!writer_.append(WalFrameType::kPrepass, payload, &err)) {
     degrade(err);
     return;
   }

@@ -65,12 +65,6 @@ class SessionRecorder {
     if (enabled()) append_commit(outer, performed, cand, applied);
   }
 
-  /// Appends one functional-reduction pre-pass frame (fsync'd). Same
-  /// degradation contract as record_commit; `round`/`ordinal` identify the
-  /// merge's position in the pre-pass's deterministic sequence.
-  void record_prepass(int round, int ordinal, const CandidateSub& cand,
-                      const AppliedSub& applied);
-
   /// Appends the kEnd frame and closes the log.
   void record_end();
 
@@ -120,24 +114,6 @@ class SessionResume {
   const WalCommit& current() const { return contents_.commits[cursor_]; }
   void advance() { ++cursor_; }
 
-  /// Pre-pass replay cursor: the functional-reduction merges recorded
-  /// before the greedy loop, fast-forwarded in lockstep ahead of the
-  /// commit cursor above.
-  bool prepass_active() const {
-    return prepass_cursor_ < contents_.prepass.size();
-  }
-  bool prepass_matches(const CandidateSub& cand) const {
-    return prepass_active() &&
-           same_candidate(contents_.prepass[prepass_cursor_].cand, cand);
-  }
-  const WalCommit& prepass_current() const {
-    return contents_.prepass[prepass_cursor_];
-  }
-  void prepass_advance() { ++prepass_cursor_; }
-  long long prepass_total() const {
-    return static_cast<long long>(contents_.prepass.size());
-  }
-
   long long replayed() const { return static_cast<long long>(cursor_); }
   long long total() const {
     return static_cast<long long>(contents_.commits.size());
@@ -147,7 +123,6 @@ class SessionResume {
  private:
   WalContents contents_;
   std::size_t cursor_ = 0;
-  std::size_t prepass_cursor_ = 0;
 };
 
 }  // namespace powder

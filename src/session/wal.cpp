@@ -391,16 +391,6 @@ WalContents parse_wal(std::string_view bytes) {
         out.commits.push_back(std::move(c));
         break;
       }
-      case WalFrameType::kPrepass: {
-        WalCommit c;
-        if (!decode_commit(payload, &c)) {
-          out.status = WalReadStatus::kCorrupt;
-          out.error = "undecodable prepass frame";
-          return out;
-        }
-        out.prepass.push_back(std::move(c));
-        break;
-      }
       case WalFrameType::kEnd:
         out.ended = true;
         break;

@@ -37,8 +37,9 @@ inline constexpr std::uint32_t kWalMagic = 0x50574652u;  // "PWFR"
 /// Version 2 added the per-commit window id (WalCommit::window); every frame
 /// now carries kGlobalWindow there.
 /// Version 3 added the kCell replacement kind (ordered divisor set of a
-/// k-input gate) to the candidate codec and the kPrepass frame recording
-/// functional-reduction merges made before the greedy loop.
+/// k-input gate) to the candidate codec, and a type-4 frame for merges of
+/// the functional-reduction pre-pass. The pre-pass is gone; a version-3 log
+/// holding a type-4 frame now reads as kCorrupt (unknown frame type).
 inline constexpr std::uint32_t kWalVersion = 3;
 
 /// The only WalCommit::window value the recorder writes; a resume rejects
@@ -49,10 +50,8 @@ enum class WalFrameType : std::uint8_t {
   kHeader = 1,
   kCommit = 2,
   kEnd = 3,
-  /// A functional-reduction merge committed by the pre-pass, before any
-  /// kCommit frame. Payload is the WalCommit codec (outer = pre-pass round,
-  /// performed = merge ordinal within the round).
-  kPrepass = 4,
+  // 4 is retired (functional-reduction pre-pass merges): the reader
+  // rejects it as an unknown frame type.
 };
 
 struct WalHeader {
@@ -93,7 +92,6 @@ const char* wal_read_status_name(WalReadStatus s);
 struct WalContents {
   bool has_header = false;
   WalHeader header;
-  std::vector<WalCommit> prepass;  ///< functional-reduction merges, in order
   std::vector<WalCommit> commits;
   bool ended = false;  ///< a kEnd frame closed the log
   WalReadStatus status = WalReadStatus::kClean;

@@ -27,7 +27,7 @@ struct AuditRecord {
   /// Netlist journal epoch at decision time: joins a decision line to the
   /// delta-bus generation (and WAL frames) it was taken against.
   unsigned long long epoch = 0;
-  const char* cls = "";        ///< OS2 / IS2 / OS3 / IS3 / OSK / ISK / FUNCRED
+  const char* cls = "";        ///< OS2 / IS2 / OS3 / IS3 / OSK / ISK
   long long target = -1;       ///< substituted stem gate id
   std::string_view target_name{};
   long long branch_sink = -1;  ///< IS2/IS3 branch sink gate id, else -1
@@ -43,9 +43,8 @@ struct AuditRecord {
   double pg_c = 0.0;
   bool pg_c_known = false;     ///< PG_C is only computed for the shortlist
   /// Permissibility proof, when one ran: engine "podem"/"sat"/"hybrid",
-  /// "replay" (WAL oracle on resume), "funcred" (proved by the pre-pass),
-  /// "none" (degraded, verdict "skipped"); verdict
-  /// "untestable"/"test_found"/"aborted".
+  /// "replay" (WAL oracle on resume), "none" (degraded, verdict
+  /// "skipped"); verdict "untestable"/"test_found"/"aborted".
   const char* proof_engine = nullptr;
   const char* proof_verdict = nullptr;
   double proof_us = -1.0;      ///< inline proof wall time; <0 = n/a

@@ -13,8 +13,8 @@
 //
 //   run_start    circuit, gates, inputs, outputs, threads, windowed
 //                (retired: always false), model
-//   phase        iter + phase name (funcred/harvest/proof/commit/
-//                final_guard), optional count
+//   phase        iter + phase name (harvest/proof/commit/final_guard),
+//                optional count
 //   commit       iter, cls, window (retired: always -1), gain, power-after
 //   heartbeat    iter, power, applied, harvested, proofs, rates, ETA
 //   degradation  from, to, reason

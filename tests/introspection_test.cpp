@@ -390,10 +390,15 @@ TEST(Audit, EveryLineCarriesWindowAndEpoch) {
 // Retired fields: still written, with their global values
 
 // Report schema 5 retired ten diagnostics keys (the speculative proof
-// pipeline's five and diagnostics.windowing's five). They stay in the
-// document as literal 0 until the next schema bump (DESIGN.md §11.4).
+// pipeline's five and diagnostics.windowing's five), then the
+// functional-reduction pre-pass's diagnostics.resub.funcred_merges. They
+// stay in the document as literal 0 until the next schema bump (DESIGN.md
+// §11.4). The pre-pass's FUNCRED class slot has no producer left: every
+// document that lists classes still carries it, all zero.
 TEST(RetiredFields, ReportCarriesTheTenRetiredKeysAsLiteralZero) {
-  const RunResult rr = run(make_input("duke2"), base_options());
+  PowerAttribution attr;
+  const RunResult rr =
+      run(make_input("duke2"), base_options().attribution(&attr));
   ASSERT_GT(rr.report.substitutions_applied, 0);
   const std::string text = rr.report.to_json();
   std::string error;
@@ -421,6 +426,31 @@ TEST(RetiredFields, ReportCarriesTheTenRetiredKeysAsLiteralZero) {
                           "boundary_conflicts", "window_reruns",
                           "window_gates_total"})
     expect_literal_zero(windowing, key);
+  const JsonValue* resub = diag->find_object("resub");
+  ASSERT_NE(resub, nullptr);
+  expect_literal_zero(resub, "funcred_merges");
+
+  auto expect_zero_class = [](const JsonValue* by_class,
+                              std::initializer_list<const char*> keys) {
+    ASSERT_NE(by_class, nullptr);
+    const JsonValue* cls = by_class->find_object("FUNCRED");
+    ASSERT_NE(cls, nullptr);
+    for (const char* key : keys) {
+      const JsonValue* v = cls->find_number(key);
+      ASSERT_NE(v, nullptr) << key;
+      EXPECT_EQ(v->as_number(), 0.0) << key;
+    }
+  };
+  expect_zero_class(doc->find_object("by_class"),
+                    {"applied", "power_delta", "area_delta"});
+  expect_zero_class(resub->find_object("by_class"),
+                    {"harvested", "proved", "applied", "gain"});
+  const auto attr_doc = json_parse(attr.to_json(), &error);
+  ASSERT_NE(attr_doc, nullptr) << error;
+  expect_zero_class(attr_doc->find_object("by_class"), {"applied", "gain"});
+  const int retired = static_cast<int>(ResubClass::kFuncRed);
+  EXPECT_EQ(attr.class_applied(retired), 0);
+  EXPECT_EQ(attr.class_gain(retired), 0.0);
 }
 
 // The progress stream's `windowed`/`window` and attribution's `by_window`

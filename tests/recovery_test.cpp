@@ -1,8 +1,9 @@
 // Crash-safe session tests (DESIGN.md §10): checkpoint/resume bit-identity
 // (including a real fork+SIGKILL crash at a commit boundary), typed
-// rejection of mismatched or damaged checkpoints, graceful degradation of
-// checkpointing under injected I/O faults, the degradation ladder's
-// monotone staircase, and sound rejection by a throwing proof engine.
+// rejection of mismatched, damaged or retired-format checkpoints, graceful
+// degradation of checkpointing under injected I/O faults, the degradation
+// ladder's monotone staircase, and sound rejection by a throwing proof
+// engine.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -288,7 +289,8 @@ TEST(CheckpointResume, ForeignWindowIdIsRejectedAsInputError) {
   const RunResult recorded = run(input, base_options().checkpoint_out(wal));
   const WalContents contents = read_wal(wal);
   ASSERT_TRUE(contents.has_header);
-  ASSERT_TRUE(contents.prepass.empty());
+  // A clean read means every frame was a header, commit or end frame.
+  ASSERT_EQ(contents.status, WalReadStatus::kClean);
   ASSERT_FALSE(contents.commits.empty());
 
   // Re-writes the log frame by frame, with `window` on the first commit.
@@ -355,6 +357,37 @@ TEST(CheckpointResume, CorruptWalIsRejectedAsIoError) {
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kIo);
   }
+  fs::remove(wal);
+}
+
+// A log holding a frame of the retired type 4 (functional-reduction
+// pre-pass merges, written by older builds) is rejected whole as a typed
+// I/O error before anything replays: the netlist is left untouched.
+TEST(CheckpointResume, RetiredFrameTypeIsRejectedAsIoError) {
+  const Netlist input = make_input();
+  const std::string wal = temp_path("retired_frame");
+  (void)run(input, base_options().checkpoint_out(wal));
+  const WalContents contents = read_wal(wal);
+  ASSERT_TRUE(contents.has_header);
+  ASSERT_FALSE(contents.commits.empty());
+  {
+    std::ofstream out(wal, std::ios::binary | std::ios::trunc);
+    out << encode_frame(WalFrameType::kHeader, encode_header(contents.header))
+        << encode_frame(static_cast<WalFrameType>(4),
+                        encode_commit(contents.commits[0]));
+  }
+  EXPECT_EQ(read_wal(wal).status, WalReadStatus::kCorrupt);
+  Netlist nl = input;
+  try {
+    (void)optimize(nl, base_options().resume_from(wal).build());
+    FAIL() << "expected Error(kIo)";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kIo);
+    EXPECT_NE(std::string(e.what()).find("unknown frame type"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(write_blif(nl), write_blif(input));
   fs::remove(wal);
 }
 

@@ -29,7 +29,6 @@
 //   --patterns <n>          simulation patterns (default 2048)
 //   --seed <n>              RNG seed
 //   --resize                follow up with gate re-sizing
-//   --redundancy            precede with redundancy removal
 //   --deadline <seconds>    wall-clock budget; the run stops cleanly with
 //                           a partial result when it expires
 //   --threads <n>           harvest/simulation shards (default 1; 0 = one
@@ -123,10 +122,8 @@ struct Args {
   int patterns = 2048;
   std::uint64_t seed = 1;
   bool resize = false;
-  bool redundancy = false;
   double deadline = -1.0;
   int threads = 1;
-  bool funcred = false;
   int max_divisors = -1;  ///< -1 = keep the default (pair classes)
   std::string report_json_path;
   std::string trace_out_path;
@@ -190,10 +187,10 @@ void usage() {
       "               [--power-model zero-delay|timed] [--glitch-pairs N] "
       "[--glitch-event-cap N]\n"
       "               [--patterns N] [--seed N] [--probs p0,p1,...] "
-      "[--resize] [--redundancy]\n"
+      "[--resize]\n"
       "               [--deadline SECONDS] [--threads N] "
       "[--report-json FILE] [--paranoid]\n"
-      "               [--funcred] [--max-divisors K]\n"
+      "               [--max-divisors K]\n"
       "               [--trace-out FILE] [--metrics-out FILE] "
       "[--audit-out FILE] [--quiet]\n"
       "               [--progress] [--progress-out FILE] "
@@ -287,8 +284,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       while (std::getline(ss, tok, ',')) a.probs.push_back(std::stod(tok));
     } else if (arg == "--resize") {
       a.resize = true;
-    } else if (arg == "--redundancy") {
-      a.redundancy = true;
     } else if (arg == "--deadline") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -297,8 +292,6 @@ std::optional<Args> parse_args(int argc, char** argv) {
       const char* v = next();
       if (!v) return std::nullopt;
       a.threads = std::atoi(v);
-    } else if (arg == "--funcred") {
-      a.funcred = true;
     } else if (arg == "--max-divisors") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -476,15 +469,6 @@ int cmd_optimize(const Args& a) {
   if (!a.attribution_out_path.empty()) attr.emplace(a.attribution_top);
   TraceSession* const trace_ptr = trace ? &*trace : nullptr;
 
-  if (a.redundancy) {
-    TraceSpan span(trace_ptr, "redundancy_removal", "flow");
-    const RedundancyRemovalReport rr = remove_redundancies(&nl);
-    span.arg("pins_tied", rr.pins_tied);
-    span.arg("gates_removed", rr.gates_removed);
-    progress("redundancy: %d pins tied, %d gates removed\n", rr.pins_tied,
-             rr.gates_removed);
-  }
-
   auto builder = PowderOptions::builder()
                      .objective(a.objective)
                      .power_model(a.power_model)
@@ -495,7 +479,6 @@ int cmd_optimize(const Args& a) {
                      .delay_limit_factor(a.delay_limit)
                      .deadline(a.deadline)
                      .threads(a.threads)
-                     .funcred(a.funcred)
                      .check_invariants(a.paranoid)
                      .final_equivalence_check(a.paranoid)
                      .trace(trace_ptr)
@@ -523,10 +506,6 @@ int cmd_optimize(const Args& a) {
              d.power_model.refresh_fallback_pairs,
              d.power_model.event_overflows,
              100.0 * d.power_model.glitch_share);
-  if (a.funcred)
-    progress("powder: functional reduction merged %ld equivalent "
-             "signal(s)\n",
-             d.resub.funcred_merges);
   if (d.resub.harvest_sites > 0)
     progress("powder: harvest matched %ld of %ld site(s); the OS3/IS3 pair "
              "filter passed %ld of %ld pair(s)\n",
