@@ -1,10 +1,12 @@
 #include "io/blif.hpp"
 
-#include <span>
-
+#include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
+#include <span>
 #include <sstream>
-#include <unordered_map>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/error.hpp"
@@ -74,150 +76,281 @@ std::string write_blif(const Netlist& netlist) {
 
 namespace {
 
-Netlist read_blif_impl(std::string_view text, const CellLibrary& library) {
-  // Join continuation lines (trailing backslash) and strip comments,
-  // remembering for each logical line the physical line it started on so
-  // diagnostics can point back into the original file.
+/// Logical lines of a BLIF text: comments stripped, whitespace trimmed and
+/// `\`-continued lines joined, each with the 1-based physical line it
+/// starts on. A line that needs no joining is a view into the text; a
+/// joined one lives in `joined_`, whose strings never move.
+class LineCursor {
+ public:
   struct Line {
-    std::string text;
-    int number;  // 1-based physical line of the first fragment
+    std::string_view text;  // never empty
+    int number;
   };
-  std::vector<Line> lines;
-  {
-    std::string cur;
-    int cur_start = 0, lineno = 0;
-    std::istringstream is{std::string(text)};
-    std::string raw;
-    while (std::getline(is, raw)) {
-      ++lineno;
-      const std::size_t hash = raw.find('#');
-      if (hash != std::string::npos) raw.resize(hash);
-      std::string_view t = trim(raw);
-      if (cur.empty()) cur_start = lineno;
-      if (!t.empty() && t.back() == '\\') {
-        cur += std::string(t.substr(0, t.size() - 1));
-        cur += ' ';
-        continue;
-      }
-      cur += std::string(t);
-      if (!cur.empty()) lines.push_back(Line{cur, cur_start});
-      cur.clear();
+
+  explicit LineCursor(std::string_view text) : text_(text) {}
+
+  /// The next logical line, or false at the end of the text.
+  bool next(Line& out) {
+    if (has_peeked_) {
+      has_peeked_ = false;
+      out = peeked_;
+      return true;
     }
-    if (!cur.empty()) lines.push_back(Line{cur, cur_start});
+    return scan(out);
+  }
+  /// The line next() will return, without consuming it.
+  bool peek(Line& out) {
+    if (!has_peeked_) has_peeked_ = scan(peeked_);
+    out = peeked_;
+    return has_peeked_;
   }
 
-  std::string model = "blif";
-  std::vector<std::string> input_names, output_names;
+ private:
+  bool scan(Line& out) {
+    bool joining = false;
+    int start = 0;
+    while (pos_ < text_.size()) {
+      const std::size_t nl = text_.find('\n', pos_);
+      const std::size_t end = nl == std::string_view::npos ? text_.size() : nl;
+      std::string_view raw = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
+      ++lineno_;
+      if (const std::size_t hash = raw.find('#');
+          hash != std::string_view::npos)
+        raw = raw.substr(0, hash);
+      const std::string_view t = trim(raw);
+      if (!joining) start = lineno_;
+      if (!t.empty() && t.back() == '\\') {
+        if (!joining) joined_.emplace_back();
+        joining = true;
+        joined_.back().append(t.substr(0, t.size() - 1)).push_back(' ');
+        continue;
+      }
+      if (joining) {
+        out = Line{joined_.back().append(t), start};
+        return true;
+      }
+      if (!t.empty()) {
+        out = Line{t, start};
+        return true;
+      }
+    }
+    // A continuation on the last line still ends a logical line.
+    if (joining) out = Line{joined_.back(), start};
+    return joining;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int lineno_ = 0;
+  std::deque<std::string> joined_;
+  Line peeked_{};
+  bool has_peeked_ = false;
+};
+
+bool is_blank(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
+/// Splits `line` into `tok` on runs of blanks (util's split(), without
+/// allocating a vector per line).
+void tokenize(std::string_view line, std::vector<std::string_view>& tok) {
+  tok.clear();
+  std::size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && is_blank(line[i])) ++i;
+    const std::size_t j = i;
+    while (i < line.size() && !is_blank(line[i])) ++i;
+    if (i > j) tok.push_back(line.substr(j, i - j));
+  }
+}
+
+using NetId = std::uint32_t;
+constexpr NetId kNoNet = static_cast<NetId>(-1);
+
+/// Dense ids for net names, interned on first sight. The keys are views
+/// into the text (or a LineCursor's joined lines), so no name is copied.
+class NetIds {
+ public:
+  explicit NetIds(std::size_t expected) {
+    std::size_t cap = 64;
+    while (cap < 2 * expected) cap *= 2;
+    slots_.assign(cap, 0);
+    names_.reserve(expected);
+  }
+
+  NetId intern(std::string_view name) {
+    const std::uint64_t h = std::hash<std::string_view>{}(name);
+    const std::uint64_t tag = h & ~std::uint64_t{0xFFFFFFFF};
+    for (std::size_t i = h & (slots_.size() - 1);;
+         i = (i + 1) & (slots_.size() - 1)) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == 0) {
+        const NetId id = static_cast<NetId>(names_.size());
+        names_.push_back(name);
+        slots_[i] = tag | (id + 1);
+        if (2 * names_.size() > slots_.size()) grow();
+        return id;
+      }
+      if ((slot & ~std::uint64_t{0xFFFFFFFF}) == tag &&
+          names_[(slot & 0xFFFFFFFF) - 1] == name)
+        return static_cast<NetId>((slot & 0xFFFFFFFF) - 1);
+    }
+  }
+  std::string_view name(NetId id) const { return names_[id]; }
+  std::size_t size() const { return names_.size(); }
+
+ private:
+  void grow() {
+    std::vector<std::uint64_t> old(2 * slots_.size(), 0);
+    old.swap(slots_);
+    for (const std::uint64_t slot : old) {
+      if (slot == 0) continue;
+      const std::uint64_t h =
+          std::hash<std::string_view>{}(names_[(slot & 0xFFFFFFFF) - 1]);
+      std::size_t i = h & (slots_.size() - 1);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<std::string_view> names_;
+  // (hash high half << 32) | (id + 1); 0 marks an empty slot.
+  std::vector<std::uint64_t> slots_;
+};
+
+bool is_output_pin(std::string_view pin) {
+  return pin == "O" || pin == "o" || pin == "out" || pin == "Y";
+}
+
+// One scan over the text builds flat integer records; instantiation then
+// walks them with an explicit stack. The netlist is built with exactly the
+// calls, order and names of a recursive DFS from the outputs (in .outputs
+// order, fanins in pin order) followed by the latch D cones, and every
+// diagnostic keeps its text, line and precedence: parse errors in line
+// order, then the driven-more-than-once checks (latch Q, gates, aliases),
+// then instantiation errors in DFS order.
+Netlist read_blif_impl(std::string_view text, const CellLibrary& library) {
+  NetIds nets(text.size() / 16);
+  std::string_view model = "blif";
+  std::vector<NetId> input_nets, output_nets;
   int outputs_line = 0;
   struct GateRec {
     CellId cell;
-    std::vector<std::string> fanin_nets;  // in pin order
-    std::string out_net;
-    int line;  // source line, for diagnostics
-  };
-  std::vector<GateRec> gates;
-  // Buffer aliases out_net -> in_net introduced by ".names a b / 1 1".
-  struct Alias {
-    std::string out, in;
+    NetId out;
+    std::uint32_t first_pin;  // fanin nets are pin_net[first_pin, +num_pins)
+    std::uint32_t num_pins;
     int line;
   };
-  std::vector<Alias> aliases;
+  std::vector<GateRec> gates;
+  std::vector<NetId> pin_net;  // kNoNet: pin left unbound
+  // Buffer aliases out <- in introduced by ".names in out / 1 1".
+  struct AliasRec {
+    NetId out, in;
+    int line;
+  };
+  std::vector<AliasRec> aliases;
   // Sequential elements: .latch <input> <output> [<type> <control>] [<init>].
   struct LatchRec {
-    std::string in_net, out_net;
+    NetId in, out;
     int init;
     int line;
   };
-  std::vector<LatchRec> latch_recs;
+  std::vector<LatchRec> latches;
 
-  for (std::size_t li = 0; li < lines.size(); ++li) {
-    const int ln = lines[li].number;
-    const auto tok = split(lines[li].text);
+  LineCursor cursor(text);
+  LineCursor::Line line;
+  std::vector<std::string_view> tok;
+  while (cursor.next(line)) {
+    const int ln = line.number;
+    tokenize(line.text, tok);
     if (tok.empty()) continue;
     if (tok[0] == ".model") {
-      if (tok.size() > 1) model = std::string(tok[1]);
+      if (tok.size() > 1) model = tok[1];
     } else if (tok[0] == ".inputs") {
       for (std::size_t i = 1; i < tok.size(); ++i)
-        input_names.emplace_back(tok[i]);
+        input_nets.push_back(nets.intern(tok[i]));
     } else if (tok[0] == ".outputs") {
       outputs_line = ln;
       for (std::size_t i = 1; i < tok.size(); ++i)
-        output_names.emplace_back(tok[i]);
+        output_nets.push_back(nets.intern(tok[i]));
     } else if (tok[0] == ".gate") {
       if (tok.size() < 3)
-        blif_fail(ln, ".gate needs a cell name and pin bindings",
-                  lines[li].text);
+        blif_fail(ln, ".gate needs a cell name and pin bindings", line.text);
       const CellId cid = library.find(tok[1]);
-      if (cid == kInvalidCell)
-        blif_fail(ln, "cell not in library", tok[1]);
+      if (cid == kInvalidCell) blif_fail(ln, "cell not in library", tok[1]);
       const Cell& cell = library.cell(cid);
-      GateRec rec;
-      rec.cell = cid;
-      rec.line = ln;
-      rec.fanin_nets.resize(cell.pins.size());
+      const auto first_pin = static_cast<std::uint32_t>(pin_net.size());
+      pin_net.resize(pin_net.size() + cell.pins.size(), kNoNet);
+      std::string_view out;
       for (std::size_t i = 2; i < tok.size(); ++i) {
         const std::size_t eq = tok[i].find('=');
         if (eq == std::string_view::npos)
           blif_fail(ln, "pin binding is not of the form pin=net", tok[i]);
-        const std::string pin(tok[i].substr(0, eq));
-        const std::string net(tok[i].substr(eq + 1));
+        const std::string_view pin = tok[i].substr(0, eq);
+        const std::string_view net = tok[i].substr(eq + 1);
         if (pin.empty() || net.empty())
           blif_fail(ln, "pin binding has an empty pin or net name", tok[i]);
-        if (pin == "O" || pin == "o" || pin == "out" || pin == "Y") {
-          rec.out_net = net;
+        if (is_output_pin(pin)) {
+          out = net;
           continue;
         }
         bool found = false;
         for (std::size_t p = 0; p < cell.pins.size(); ++p)
           if (cell.pins[p].name == pin) {
-            rec.fanin_nets[p] = net;
+            pin_net[first_pin + p] = nets.intern(net);
             found = true;
           }
         if (!found)
-          blif_fail(ln, "cell " + cell.name + " has no pin named '" + pin +
-                            "'",
+          blif_fail(ln,
+                    "cell " + cell.name + " has no pin named '" +
+                        std::string(pin) + "'",
                     tok[i]);
       }
-      if (rec.out_net.empty())
-        blif_fail(ln, ".gate has no output binding (O=...)", lines[li].text);
-      gates.push_back(std::move(rec));
+      if (out.empty())
+        blif_fail(ln, ".gate has no output binding (O=...)", line.text);
+      gates.push_back(GateRec{cid, nets.intern(out), first_pin,
+                              static_cast<std::uint32_t>(cell.pins.size()),
+                              ln});
     } else if (tok[0] == ".names") {
       // Accept: constants and single-input buffers only.
-      std::vector<std::string> nets;
-      for (std::size_t i = 1; i < tok.size(); ++i) nets.emplace_back(tok[i]);
-      if (nets.empty()) blif_fail(ln, ".names without any net");
-      // Gather the cover body (subsequent lines not starting with '.').
-      std::vector<std::string> body;
-      while (li + 1 < lines.size() && lines[li + 1].text[0] != '.')
-        body.push_back(lines[++li].text);
-      if (nets.size() == 1) {
+      if (tok.size() < 2) blif_fail(ln, ".names without any net");
+      // The cover body: the following lines that do not start with '.'.
+      // A rejected cover is quoted by its last line.
+      std::size_t body_lines = 0;
+      std::string_view first_body, last = line.text;
+      LineCursor::Line body;
+      while (cursor.peek(body) && body.text[0] != '.') {
+        cursor.next(body);
+        if (body_lines++ == 0) first_body = body.text;
+        last = body.text;
+      }
+      if (tok.size() == 2) {
         const CellId cid =
-            body.empty() ? library.const0() : library.const1();
+            body_lines == 0 ? library.const0() : library.const1();
         if (cid == kInvalidCell)
           blif_fail(ln, "library lacks constant cells for constant .names",
-                    nets[0]);
-        gates.push_back(GateRec{cid, {}, nets[0], ln});
-      } else if (nets.size() == 2 && body.size() == 1 &&
-                 trim(body[0]) == "1 1") {
-        aliases.push_back(Alias{nets[1], nets[0], ln});
+                    tok[1]);
+        gates.push_back(GateRec{cid, nets.intern(tok[1]),
+                                static_cast<std::uint32_t>(pin_net.size()), 0,
+                                ln});
+      } else if (tok.size() == 3 && body_lines == 1 &&
+                 trim(first_body) == "1 1") {
+        aliases.push_back(
+            AliasRec{nets.intern(tok[2]), nets.intern(tok[1]), ln});
       } else {
         blif_fail(ln,
                   ".names logic is not supported in mapped BLIF "
                   "(only constants and '1 1' buffers)",
-                  lines[li].text);
+                  last);
       }
     } else if (tok[0] == ".latch") {
       // .latch <input> <output> [<type> <control>] [<init-val>]; the clock
       // is single and implicit here, so a type/control pair is validated
       // and dropped. Missing init defaults to 3 (unknown), per SIS.
       if (tok.size() < 3 || tok.size() > 6)
-        blif_fail(ln, ".latch needs an input and an output net",
-                  lines[li].text);
-      LatchRec rec;
-      rec.in_net = std::string(tok[1]);
-      rec.out_net = std::string(tok[2]);
-      rec.init = 3;
-      rec.line = ln;
+        blif_fail(ln, ".latch needs an input and an output net", line.text);
+      LatchRec rec{nets.intern(tok[1]), nets.intern(tok[2]), 3, ln};
       std::size_t next = 3;
       if (tok.size() >= 5) {
         const std::string_view type = tok[3];
@@ -232,7 +365,7 @@ Netlist read_blif_impl(std::string_view text, const CellLibrary& library) {
           blif_fail(ln, ".latch init value must be 0, 1, 2 or 3", iv);
         rec.init = iv[0] - '0';
       }
-      latch_recs.push_back(std::move(rec));
+      latches.push_back(rec);
     } else if (tok[0] == ".end" || tok[0] == ".exdc") {
       break;
     } else {
@@ -240,97 +373,128 @@ Netlist read_blif_impl(std::string_view text, const CellLibrary& library) {
     }
   }
 
-  Netlist netlist(&library, model);
+  Netlist netlist(&library, std::string(model));
   // Pre-size the SoA columns and pin arena: one slot per PI/PO/gate and a
   // pin-count estimate of 4 per instance (arena slabs round up internally).
-  netlist.reserve(
-      input_names.size() + output_names.size() + gates.size() +
-          2 * latch_recs.size(),
-      4 * gates.size());
-  std::unordered_map<std::string, GateId> net_driver;
-  for (const std::string& n : input_names)
-    net_driver.emplace(n, netlist.add_input(n));
-
+  netlist.reserve(input_nets.size() + output_nets.size() + gates.size() +
+                      2 * latches.size(),
+                  4 * gates.size());
+  // The gate driving each net once built; a repeated input keeps its first.
+  std::vector<GateId> net_gate(nets.size(), kNullGate);
+  for (const NetId n : input_nets) {
+    const GateId g = netlist.add_input(nets.name(n));
+    if (net_gate[n] == kNullGate) net_gate[n] = g;
+  }
   // Latch outputs drive their Q nets as pseudo primary inputs.
-  std::vector<GateId> latch_q(latch_recs.size(), kNullGate);
-  for (std::size_t i = 0; i < latch_recs.size(); ++i) {
-    const LatchRec& lr = latch_recs[i];
-    if (net_driver.count(lr.out_net) != 0)
-      blif_fail(lr.line, "net is driven more than once", lr.out_net);
-    latch_q[i] = netlist.add_input(lr.out_net);
-    net_driver.emplace(lr.out_net, latch_q[i]);
+  std::vector<GateId> latch_q(latches.size(), kNullGate);
+  for (std::size_t i = 0; i < latches.size(); ++i) {
+    const LatchRec& lr = latches[i];
+    if (net_gate[lr.out] != kNullGate)
+      blif_fail(lr.line, "net is driven more than once", nets.name(lr.out));
+    latch_q[i] = net_gate[lr.out] = netlist.add_input(nets.name(lr.out));
   }
-
-  std::unordered_map<std::string, std::size_t> gate_of_net;
+  constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> gate_of(nets.size(), kNone);
   for (std::size_t i = 0; i < gates.size(); ++i) {
-    if (net_driver.count(gates[i].out_net) != 0 ||
-        !gate_of_net.emplace(gates[i].out_net, i).second)
+    const NetId out = gates[i].out;
+    if (net_gate[out] != kNullGate || gate_of[out] != kNone)
       blif_fail(gates[i].line, "net is driven more than once",
-                gates[i].out_net);
+                nets.name(out));
+    gate_of[out] = static_cast<std::uint32_t>(i);
   }
-  std::unordered_map<std::string, std::string> alias_of;
-  for (const Alias& a : aliases) {
-    if (gate_of_net.count(a.out) != 0 || net_driver.count(a.out) != 0 ||
-        !alias_of.emplace(a.out, a.in).second)
-      blif_fail(a.line, "net is driven more than once", a.out);
+  std::vector<std::uint32_t> alias_of(nets.size(), kNone);
+  for (std::size_t i = 0; i < aliases.size(); ++i) {
+    const NetId out = aliases[i].out;
+    if (gate_of[out] != kNone || net_gate[out] != kNullGate ||
+        alias_of[out] != kNone)
+      blif_fail(aliases[i].line, "net is driven more than once",
+                nets.name(out));
+    alias_of[out] = static_cast<std::uint32_t>(i);
   }
 
-  // Recursive instantiation in dependency order. `ref_line` is the source
-  // line that referenced `net`, so an undriven net is reported where it is
-  // used, not as a generic end-of-parse failure.
-  std::vector<std::uint8_t> state(gates.size(), 0);
-  auto instantiate = [&](auto&& self, const std::string& net,
-                         int ref_line) -> GateId {
-    if (const auto it = net_driver.find(net); it != net_driver.end())
-      return it->second;
-    if (const auto al = alias_of.find(net); al != alias_of.end()) {
-      const GateId g = self(self, al->second, ref_line);
-      net_driver.emplace(net, g);
-      return g;
+  // The net an alias chain ends at. Alias nets never get a driver of their
+  // own, so this is where their gate is looked up.
+  auto resolve = [&](NetId net) {
+    for (std::size_t hops = 0; alias_of[net] != kNone; ++hops) {
+      if (hops > aliases.size())  // only a cycle is longer than every alias
+        blif_fail(aliases[alias_of[net]].line,
+                  "buffer aliases form a cycle through net", nets.name(net));
+      net = aliases[alias_of[net]].in;
     }
-    const auto it = gate_of_net.find(net);
-    if (it == gate_of_net.end())
-      blif_fail(ref_line, "net has no driver (not an input, .gate output, "
-                          "or alias)",
-                net);
-    const std::size_t gi = it->second;
+    return net;
+  };
+  // Instantiation in dependency order. `ref_line` is the source line that
+  // referenced `net`, so an undriven net is reported where it is used, not
+  // as a generic end-of-parse failure. A frame revisits its pending pin
+  // after the pin's driver is built, and then finds it in net_gate.
+  std::vector<std::uint8_t> state(gates.size(), 0);  // 1 open, 2 built
+  std::vector<GateId> fanin_gate(pin_net.size(), kNullGate);
+  struct Frame {
+    std::uint32_t gate, pin;
+  };
+  std::vector<Frame> stack;
+  auto open = [&](NetId net, int ref_line) {
+    const std::uint32_t gi = gate_of[net];
+    if (gi == kNone)
+      blif_fail(ref_line,
+                "net has no driver (not an input, .gate output, or alias)",
+                nets.name(net));
     if (state[gi] == 1)
-      blif_fail(gates[gi].line, "combinational cycle through net", net);
+      blif_fail(gates[gi].line, "combinational cycle through net",
+                nets.name(net));
     state[gi] = 1;
-    std::vector<GateId> fanins;
-    for (const std::string& fn : gates[gi].fanin_nets) {
-      if (fn.empty())
-        blif_fail(gates[gi].line, "gate leaves an input pin unbound", net);
-      fanins.push_back(self(self, fn, gates[gi].line));
+    stack.push_back(Frame{gi, 0});
+  };
+  auto instantiate = [&](NetId net, int ref_line) -> GateId {
+    net = resolve(net);
+    if (net_gate[net] != kNullGate) return net_gate[net];
+    open(net, ref_line);
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const GateRec& r = gates[f.gate];
+      if (f.pin < r.num_pins) {
+        const NetId fn = pin_net[r.first_pin + f.pin];
+        if (fn == kNoNet)
+          blif_fail(r.line, "gate leaves an input pin unbound",
+                    nets.name(r.out));
+        const NetId driver = resolve(fn);
+        if (net_gate[driver] != kNullGate)
+          fanin_gate[r.first_pin + f.pin++] = net_gate[driver];
+        else
+          open(driver, r.line);  // invalidates f
+        continue;
+      }
+      state[f.gate] = 2;
+      net_gate[r.out] = netlist.add_gate(
+          r.cell, std::span(fanin_gate.data() + r.first_pin, r.num_pins),
+          nets.name(r.out));
+      stack.pop_back();
     }
-    state[gi] = 2;
-    const GateId g = netlist.add_gate(gates[gi].cell, fanins, net);
-    net_driver.emplace(net, g);
-    return g;
+    return net_gate[net];
   };
 
-  for (const std::string& out : output_names) {
-    const GateId driver = instantiate(instantiate, out, outputs_line);
+  std::string po_name;
+  for (const NetId out : output_nets) {
+    const GateId driver = instantiate(out, outputs_line);
     // Gate labels are unique; when the output net *is* the driver's label
     // (direct `.gate ... O=out`), the PO gate needs its own name. Via a
     // buffer alias the names already differ, keeping write/read
     // round-trips stable.
-    const std::string po_name =
-        netlist.gate_name(driver) == out ? out + "_po" : out;
+    po_name = nets.name(out);
+    if (netlist.gate_name(driver) == po_name) po_name += "_po";
     netlist.add_output(po_name, driver);
   }
   // Latch inputs sample their D nets through pseudo primary outputs. All D
   // cones are instantiated first so the synthetic pseudo-PO names can be
   // checked against every net the netlist will actually contain.
-  std::vector<GateId> latch_d(latch_recs.size(), kNullGate);
-  for (std::size_t i = 0; i < latch_recs.size(); ++i)
-    latch_d[i] =
-        instantiate(instantiate, latch_recs[i].in_net, latch_recs[i].line);
-  for (std::size_t i = 0; i < latch_recs.size(); ++i) {
-    std::string li_name = latch_recs[i].out_net + "_li";
+  std::vector<GateId> latch_d(latches.size(), kNullGate);
+  for (std::size_t i = 0; i < latches.size(); ++i)
+    latch_d[i] = instantiate(latches[i].in, latches[i].line);
+  for (std::size_t i = 0; i < latches.size(); ++i) {
+    std::string li_name = std::string(nets.name(latches[i].out)) + "_li";
     while (netlist.names().contains(li_name)) li_name += "_";
     const GateId po = netlist.add_output(li_name, latch_d[i]);
-    netlist.add_latch(po, latch_q[i], latch_recs[i].init);
+    netlist.add_latch(po, latch_q[i], latches[i].init);
   }
   return netlist;
 }

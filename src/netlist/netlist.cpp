@@ -288,7 +288,7 @@ std::string Netlist::fresh_name(const std::string& prefix) {
   }
 }
 
-GateId Netlist::add_input(std::string name) {
+GateId Netlist::add_input(std::string_view name) {
   const GateId id = new_gate(GateKind::kInput);
   gate_name_[id] = names_.intern(name.empty() ? fresh_name("pi") : name);
   inputs_.push_back(id);
@@ -301,7 +301,8 @@ GateId Netlist::add_input(std::string name) {
   return id;
 }
 
-GateId Netlist::add_output(std::string name, GateId driver, double load) {
+GateId Netlist::add_output(std::string_view name, GateId driver,
+                           double load) {
   POWDER_CHECK(driver < kind_.size() && alive_[driver] != 0);
   const GateId id = new_gate(GateKind::kOutput);
   gate_name_[id] = names_.intern(name.empty() ? fresh_name("po") : name);
@@ -320,8 +321,8 @@ GateId Netlist::add_output(std::string name, GateId driver, double load) {
   return id;
 }
 
-GateId Netlist::add_gate(CellId cell, const std::vector<GateId>& fanins,
-                         std::string name) {
+GateId Netlist::add_gate(CellId cell, std::span<const GateId> fanins,
+                         std::string_view name) {
   POWDER_CHECK(cell != kInvalidCell);
   const Cell& c = library_->cell(cell);
   POWDER_CHECK_MSG(static_cast<int>(fanins.size()) == c.num_inputs(),

@@ -31,6 +31,7 @@
 // topo_order() calls between mutations are free.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -160,10 +161,16 @@ class Netlist {
   void set_name(std::string n) { name_ = std::move(n); }
 
   // ---- construction / mutation -------------------------------------------
-  GateId add_input(std::string name);
-  GateId add_output(std::string name, GateId driver, double load = 1.0);
-  GateId add_gate(CellId cell, const std::vector<GateId>& fanins,
-                  std::string name = "");
+  // An empty name draws a fresh one ("pi_N", "po_N", "g_N"). Names are
+  // interned, so the views need only outlive the call.
+  GateId add_input(std::string_view name);
+  GateId add_output(std::string_view name, GateId driver, double load = 1.0);
+  GateId add_gate(CellId cell, std::span<const GateId> fanins,
+                  std::string_view name = {});
+  GateId add_gate(CellId cell, std::initializer_list<GateId> fanins,
+                  std::string_view name = {}) {
+    return add_gate(cell, std::span(fanins.begin(), fanins.size()), name);
+  }
 
   /// Pre-sizes the gate table and both pin arenas (BLIF/AIG readers know
   /// the circuit size up front; bulk construction then never reallocates).

@@ -172,7 +172,7 @@ PairFilterCounts filter_pairs(std::span<const std::uint64_t> a,
 /// netlist.cpp); harvest shards each own their thread's tables.
 struct CandidateFinder::SiteMarks {
   std::vector<std::uint32_t> forbidden, seen, visited;
-  std::vector<GateId> stack;
+  std::vector<GateId> stack, frontier, next;  // capacity kept across sites
   std::uint32_t epoch = 0;
 
   std::uint32_t begin(std::size_t slots) {
@@ -367,6 +367,8 @@ std::vector<GateId> CandidateFinder::build_pool(GateId around,
                                                 Rng& rng) const {
   const std::uint32_t epoch = marks.epoch;
   std::vector<GateId> pool;
+  pool.reserve(static_cast<std::size_t>(
+      std::max(0, options_.local_pool_size + options_.random_pool_size)));
   auto try_add = [&](GateId g) {
     if (marks.seen[g] == epoch || marks.forbidden[g] == epoch ||
         !netlist_->alive(g))
@@ -386,11 +388,13 @@ std::vector<GateId> CandidateFinder::build_pool(GateId around,
   // Breadth-first over the undirected netlist graph starting at the target;
   // nearby signals share support and are the most likely permissible
   // replacements (and the cheapest to wire).
-  std::vector<GateId> frontier{around};
+  std::vector<GateId>& frontier = marks.frontier;
+  std::vector<GateId>& next = marks.next;
+  frontier.assign(1, around);
   marks.visited[around] = epoch;
   while (!frontier.empty() &&
          static_cast<int>(pool.size()) < options_.local_pool_size) {
-    std::vector<GateId> next;
+    next.clear();
     for (GateId g : frontier) {
       auto visit = [&](GateId n) {
         if (marks.visited[n] == epoch) return;
@@ -402,7 +406,7 @@ std::vector<GateId> CandidateFinder::build_pool(GateId around,
       for (const FanoutRef& br : netlist_->fanouts(g)) visit(br.gate);
       if (static_cast<int>(pool.size()) >= options_.local_pool_size) break;
     }
-    frontier = std::move(next);
+    frontier.swap(next);
   }
   // A few random signals for diversity (finds global equivalences the
   // neighborhood misses), from the site's own stream.

@@ -204,6 +204,9 @@ PowderReport PowderOptimizer::run() {
   static_assert(kAttributionClasses == kNumResubClasses,
                 "PowerAttribution class table out of sync with ResubClass");
   TraceSpan run_span(trace, "optimize", "powder");
+  // Everything before the greedy loop's first harvest: simulators,
+  // estimates, timing, proof engines and the candidate finder.
+  std::optional<TraceSpan> setup_span(std::in_place, trace, "setup", "powder");
 
   int threads = options_.threads;
   if (threads <= 0) {
@@ -655,6 +658,7 @@ PowderReport PowderOptimizer::run() {
     return true;
   };
 
+  setup_span.reset();
   for (int outer = 0;
        progress && !stopped && outer < options_.max_outer_iterations;
        ++outer) {

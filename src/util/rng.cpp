@@ -1,5 +1,7 @@
 #include "util/rng.hpp"
 
+#include <cmath>
+
 #include "util/check.hpp"
 
 namespace powder {
@@ -55,12 +57,15 @@ double Rng::uniform() {
 std::uint64_t Rng::biased_word(double p) {
   if (p <= 0.0) return 0;
   if (p >= 1.0) return ~0ull;
+  // uniform() is m * 2^-53 for the integer m = next64() >> 11, exactly, so
+  // for 0 < p < 1 `uniform() < p` holds iff m < ceil(p * 2^53) (the product
+  // is exact too: scaling by a power of two). NaN fails every comparison,
+  // so it gets the threshold 0 and still draws its 64 words.
+  const std::uint64_t threshold =
+      p > 0.0 ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53)) : 0;
   std::uint64_t w = 0;
-  // Build the word by comparing 8 bits at a time via thresholding on bytes:
-  // simple per-bit draw is clearer and still fast enough for our usage
-  // (pattern generation is not the bottleneck; simulation is).
   for (int i = 0; i < 64; ++i)
-    if (uniform() < p) w |= 1ull << i;
+    w |= static_cast<std::uint64_t>((next64() >> 11) < threshold) << i;
   return w;
 }
 

@@ -68,6 +68,9 @@ const std::map<std::string, std::string>& golden_diagnostics() {
     {"alias_chain_double_driver.blif",
      "input error: BLIF parse error at line 9: net is driven more than "
      "once (near 'b')"},
+    {"alias_cycle.blif",
+     "input error: BLIF parse error at line 6: buffer aliases form a "
+     "cycle through net (near 'y')"},
     {"bad_pin_binding.blif",
      "input error: BLIF parse error at line 3: pin binding is not of "
      "the form pin=net (near 'borked')"},

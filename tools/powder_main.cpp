@@ -434,14 +434,20 @@ int cmd_optimize(const Args& a) {
   check_writable(a.progress_out_path, "--progress-out");
   check_writable(a.attribution_out_path, "--attribution-out");
 
-  const CellLibrary lib = load_library(a);
-  Netlist nl = read_blif(read_file(a.positional.at(0)), lib);
-  const Netlist original = nl;
-
-  // Observability sinks, all optional. A metrics registry is also created
-  // for --report-json alone so the report gains its "metrics" field.
+  // Observability sinks, all optional. The trace starts before the input
+  // is read so that the set-up shows in it too. A metrics registry is also
+  // created for --report-json alone so the report gains its "metrics" field.
   std::optional<TraceSession> trace;
   if (!a.trace_out_path.empty()) trace.emplace();
+  TraceSession* const trace_ptr = trace ? &*trace : nullptr;
+
+  const CellLibrary lib = load_library(a);
+  Netlist nl = [&] {
+    TraceSpan span(trace_ptr, "read_blif", "io");
+    return read_blif(read_file(a.positional.at(0)), lib);
+  }();
+  const Netlist original = nl;
+
   std::optional<MetricsRegistry> metrics;
   if (!a.metrics_out_path.empty() || !a.report_json_path.empty())
     metrics.emplace();
@@ -467,7 +473,6 @@ int cmd_optimize(const Args& a) {
   }
   std::optional<PowerAttribution> attr;
   if (!a.attribution_out_path.empty()) attr.emplace(a.attribution_top);
-  TraceSession* const trace_ptr = trace ? &*trace : nullptr;
 
   auto builder = PowderOptions::builder()
                      .objective(a.objective)
@@ -582,7 +587,10 @@ int cmd_optimize(const Args& a) {
     }
   }
   if (!a.out_path.empty()) {
-    write_file_atomic(a.out_path, write_blif(nl));
+    {
+      TraceSpan span(trace_ptr, "write_blif", "io");
+      write_file_atomic(a.out_path, write_blif(nl));
+    }
     progress("wrote %s\n", a.out_path.c_str());
   }
 
