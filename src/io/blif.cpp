@@ -181,34 +181,34 @@ class NetIds {
 
   NetId intern(std::string_view name) {
     const std::uint64_t h = std::hash<std::string_view>{}(name);
-    const std::uint64_t tag = h & ~std::uint64_t{0xFFFFFFFF};
     for (std::size_t i = h & (slots_.size() - 1);;
          i = (i + 1) & (slots_.size() - 1)) {
       const std::uint64_t slot = slots_[i];
       if (slot == 0) {
-        const NetId id = static_cast<NetId>(names_.size());
+        const auto id = static_cast<NetId>(names_.size());
         names_.push_back(name);
-        slots_[i] = tag | (id + 1);
+        slots_[i] = (h & ~kIdBits) | (id + 1);
         if (2 * names_.size() > slots_.size()) grow();
         return id;
       }
-      if ((slot & ~std::uint64_t{0xFFFFFFFF}) == tag &&
-          names_[(slot & 0xFFFFFFFF) - 1] == name)
-        return static_cast<NetId>((slot & 0xFFFFFFFF) - 1);
+      const auto id = static_cast<NetId>((slot & kIdBits) - 1);
+      if ((slot & ~kIdBits) == (h & ~kIdBits) && names_[id] == name)
+        return id;
     }
   }
   std::string_view name(NetId id) const { return names_[id]; }
   std::size_t size() const { return names_.size(); }
 
  private:
+  static constexpr std::uint64_t kIdBits = 0xFFFFFFFF;
+
   void grow() {
     std::vector<std::uint64_t> old(2 * slots_.size(), 0);
     old.swap(slots_);
     for (const std::uint64_t slot : old) {
       if (slot == 0) continue;
-      const std::uint64_t h =
-          std::hash<std::string_view>{}(names_[(slot & 0xFFFFFFFF) - 1]);
-      std::size_t i = h & (slots_.size() - 1);
+      const std::string_view name = names_[(slot & kIdBits) - 1];
+      std::size_t i = std::hash<std::string_view>{}(name) & (slots_.size() - 1);
       while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
       slots_[i] = slot;
     }

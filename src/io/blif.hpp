@@ -19,8 +19,9 @@ namespace powder {
 /// Serializes a mapped netlist to BLIF text.
 std::string write_blif(const Netlist& netlist);
 
-/// Parses mapped BLIF against `library`. Throws CheckError on malformed
-/// input or unknown cells.
+/// Parses mapped BLIF against `library` in one scan over `text`. Throws a
+/// typed input Error (a CheckError) on malformed input or unknown cells,
+/// naming the source line.
 Netlist read_blif(std::string_view text, const CellLibrary& library);
 
 /// Parses an espresso-style PLA (.i/.o/.p/.ilb/.ob, 'fd' type semantics).

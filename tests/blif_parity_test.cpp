@@ -559,16 +559,15 @@ TEST(BlifParity, TextVariants) {
     variants.emplace_back(
         "continuations",
         rewrite_lines(text, [](auto line, int i, std::string& out) {
-          std::string l(line);
-          if (starts_with(l, ".gate") || starts_with(l, ".inputs")) {
-            for (char& c : l)
-              if (c == ' ' && i % 2 == 0) c = '\x01';
-            std::string joined;
-            for (const char c : l)
-              joined += c == '\x01' ? std::string(" \\\n  ") : std::string(1, c);
-            l = joined;
+          const bool split_up = i % 2 == 0 && (starts_with(line, ".gate") ||
+                                                starts_with(line, ".inputs"));
+          for (const char c : line) {
+            if (split_up && c == ' ')
+              out.append(" \\\n  ");
+            else
+              out.push_back(c);
           }
-          out.append(l).append("\n");
+          out.append("\n");
           if (i == 2) out.append("\\\n");
           if (i == 1) out.append(".inputs \\\n\n");
         }));
