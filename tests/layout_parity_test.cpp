@@ -14,15 +14,24 @@
 // the cone-local replay replaced. All goldens were re-recorded once when
 // the harvest's candidate order became total and its random pools became
 // per-site streams (DESIGN.md §5b).
+//
+// The `*.full.report` / `*.full.prom` goldens pin everything else a run
+// emits: every key of `to_json()` (diagnostics and the metrics snapshot
+// included) and the Prometheus export, with only the time- and RSS-valued
+// entries dropped, on four configurations that between them reach every
+// commit-path outcome (guard and final rollbacks, WAL replay).
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "benchgen/benchmarks.hpp"
 #include "io/blif.hpp"
@@ -31,8 +40,14 @@
 #include "opt/journal.hpp"
 #include "opt/substitution.hpp"
 #include "powder.hpp"
+#include "power/attribution.hpp"
+#include "session/wal.hpp"
 #include "sim/simulator.hpp"
+#include "trace/audit.hpp"
+#include "trace/progress.hpp"
 #include "util/check.hpp"
+#include "util/fault_injection.hpp"
+#include "util/json.hpp"
 
 namespace powder {
 namespace {
@@ -241,6 +256,160 @@ TEST_P(LayoutParityTest, JournalStormMatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(QuickSuite, LayoutParityTest,
                          ::testing::ValuesIn(quick_suite()),
                          [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// The whole report and metrics export
+
+/// One line per JSON leaf, "path value", in document order. Time- and
+/// RSS-valued keys and the metrics histograms (latency buckets) are dropped;
+/// numbers print with 17 significant digits, which round-trips the
+/// report's own precision-17 rendering exactly.
+void flatten_json(const JsonValue& v, const std::string& path,
+                  std::ostringstream& os) {
+  if (v.is_object()) {
+    for (const auto& [key, child] : v.members()) {
+      if (key == "cpu_seconds" || key == "peak_rss_bytes") continue;
+      if (path == "metrics" && child.is_object()) continue;  // histogram
+      flatten_json(child, path.empty() ? key : path + "." + key, os);
+    }
+    return;
+  }
+  os << path << ' ';
+  if (v.is_number()) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.17g", v.as_number());
+    os << buf;
+  } else if (v.is_string()) {
+    os << v.as_string();
+  } else if (v.is_bool()) {
+    os << (v.as_bool() ? "true" : "false");
+  } else {
+    os << "null";
+  }
+  os << '\n';
+}
+
+std::string full_report_text(const PowderReport& r) {
+  std::string error;
+  const auto doc = json_parse(r.to_json(), &error);
+  if (doc == nullptr) return "PARSE_ERROR " + error + "\n";
+  std::ostringstream os;
+  flatten_json(*doc, "", os);
+  return os.str();
+}
+
+/// The Prometheus export without the latency histograms' series.
+std::string prometheus_text_without_durations(const MetricsRegistry& m) {
+  std::istringstream lines(m.prometheus_text());
+  std::ostringstream os;
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.find("_duration_ns") == std::string::npos) os << line << '\n';
+  return os.str();
+}
+
+void expect_full_golden(const std::string& stem, const PowderReport& r,
+                        const MetricsRegistry& m) {
+  const std::string report = full_report_text(r);
+  const std::string prom = prometheus_text_without_durations(m);
+  if (regen()) {
+    write_file(golden_path(stem + ".full.report"), report);
+    write_file(golden_path(stem + ".full.prom"), prom);
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string want = read_file(golden_path(stem + ".full.report"));
+  ASSERT_FALSE(want.empty()) << "missing golden " << stem
+                             << ".full.report (run with POWDER_REGEN_GOLDEN=1)";
+  EXPECT_EQ(report, want) << "full report drifted for " << stem;
+  EXPECT_EQ(prom, read_file(golden_path(stem + ".full.prom")))
+      << "metrics export drifted for " << stem;
+}
+
+TEST(FullReport, CompZeroDelayWithEverySink) {
+  Netlist nl = map_aig(make_benchmark("comp"), lib());
+  TraceSession trace;
+  MetricsRegistry metrics;
+  std::ostringstream audit_os, progress_os;
+  AuditLog audit(&audit_os);
+  ProgressStream progress(&progress_os);
+  PowerAttribution attribution;
+  PowderOptions opt = parity_options(nl.num_inputs(), /*threads=*/1);
+  opt.trace.trace = &trace;
+  opt.trace.metrics = &metrics;
+  opt.trace.audit = &audit;
+  opt.trace.progress = &progress;
+  opt.trace.attribution = &attribution;
+  const PowderReport r = optimize(nl, opt);
+  EXPECT_GT(r.substitutions_applied, 0);
+  expect_full_golden("comp.sinks", r, metrics);
+}
+
+TEST(FullReport, T481Timed) {
+  Netlist nl = map_aig(make_benchmark("t481"), lib());
+  MetricsRegistry metrics;
+  PowderOptions opt = parity_options(nl.num_inputs(), /*threads=*/1);
+  opt.power_model = PowerModelKind::kTimed;
+  opt.glitch.num_vector_pairs = 64;
+  opt.trace.metrics = &metrics;
+  const PowderReport r = optimize(nl, opt);
+  EXPECT_GT(r.substitutions_applied, 0);
+  expect_full_golden("t481.timed", r, metrics);
+}
+
+TEST(FullReport, CompForcedAcceptsRolledBackAtTheEnd) {
+  // Every pick skips presim and proof; with the signature guard off, the
+  // end-of-run equivalence check must walk the bad commits back.
+  Netlist nl = map_aig(make_benchmark("comp"), lib());
+  MetricsRegistry metrics;
+  PowderOptions opt = parity_options(nl.num_inputs(), /*threads=*/1);
+  opt.guard.signature_check = false;
+  opt.guard.final_equivalence_check = true;
+  opt.trace.metrics = &metrics;
+  PowderReport r;
+  {
+    ScopedFaultInjector inj;
+    inj->arm(FaultInjector::Site::kAcceptProof);
+    r = optimize(nl, opt);
+  }
+  EXPECT_GT(r.diagnostics.final_check_rollbacks, 0);
+  EXPECT_FALSE(r.diagnostics.guard_failed);
+  expect_full_golden("comp.forced", r, metrics);
+}
+
+TEST(FullReport, CompResumedFromAWalCutMidRun) {
+  const Netlist input = map_aig(make_benchmark("comp"), lib());
+  const std::string wal =
+      (std::filesystem::temp_directory_path() /
+       ("full_report." + std::to_string(::getpid()) + ".wal"))
+          .string();
+  const std::string cut = wal + ".cut";
+  PowderOptions opt = parity_options(input.num_inputs(), /*threads=*/1);
+  {
+    Netlist nl = input;
+    PowderOptions first = opt;
+    first.session.checkpoint_out = wal;
+    (void)optimize(nl, first);
+  }
+  const WalContents full = read_wal(wal);
+  ASSERT_GE(full.commits.size(), 2u);
+  {
+    std::string image =
+        encode_frame(WalFrameType::kHeader, encode_header(full.header));
+    for (std::size_t i = 0; i < full.commits.size() / 2; ++i)
+      image += encode_frame(WalFrameType::kCommit,
+                            encode_commit(full.commits[i]));
+    write_file(cut, image);
+  }
+  Netlist nl = input;
+  MetricsRegistry metrics;
+  opt.session.resume_from = cut;
+  opt.trace.metrics = &metrics;
+  const PowderReport r = optimize(nl, opt);
+  std::filesystem::remove(wal);
+  std::filesystem::remove(cut);
+  EXPECT_GT(r.diagnostics.resume_replayed, 0);
+  expect_full_golden("comp.resumed", r, metrics);
+}
 
 }  // namespace
 }  // namespace powder
