@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -492,6 +493,63 @@ TEST(RetiredFields, ProgressAndAttributionWriteTheGlobalValues) {
   EXPECT_EQ(global.find_number("window")->as_number(), -1.0);
   EXPECT_EQ(static_cast<long>(global.find_number("commits")->as_number()),
             attr.commits_recorded() - attr.rollbacks_recorded());
+}
+
+// ---------------------------------------------------------------------------
+// One registry shared across runs (DESIGN.md §8)
+
+/// The report without what may differ between two runs of the same input:
+/// wall time, RSS and the registry snapshot.
+std::string report_without_metrics(PowderReport r) {
+  r.cpu_seconds = 0.0;
+  r.diagnostics.peak_rss_bytes = 0;
+  r.metrics_json.clear();
+  return r.to_json();
+}
+
+/// Every counter (`*_total`) of a registry's JSON export.
+std::map<std::string, double> counters_of(const MetricsRegistry& m) {
+  std::map<std::string, double> out;
+  std::string error;
+  const auto doc = json_parse(m.to_json(), &error);
+  EXPECT_NE(doc, nullptr) << error;
+  if (doc == nullptr) return out;
+  for (const auto& [name, value] : doc->members()) {
+    const std::string suffix = "_total";
+    if (value.is_number() && name.size() > suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+      out[name] = value.as_number();
+  }
+  return out;
+}
+
+TEST(SharedRegistry, RunsAddUpAndReportsStayTheirOwn) {
+  const Netlist comp = make_input("comp");
+  const Netlist rd84 = make_input("rd84");
+  MetricsRegistry solo_comp, solo_rd84, shared;
+  const RunResult a = run(comp, base_options().metrics(&solo_comp));
+  const RunResult b = run(rd84, base_options().metrics(&solo_rd84));
+  const RunResult a2 = run(comp, base_options().metrics(&shared));
+  const RunResult b2 = run(rd84, base_options().metrics(&shared));
+
+  EXPECT_EQ(a2.blif, a.blif);
+  EXPECT_EQ(b2.blif, b.blif);
+  EXPECT_EQ(report_without_metrics(a2.report),
+            report_without_metrics(a.report));
+  EXPECT_EQ(report_without_metrics(b2.report),
+            report_without_metrics(b.report));
+
+  const auto want_a = counters_of(solo_comp);
+  const auto want_b = counters_of(solo_rd84);
+  const auto got = counters_of(shared);
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got.size(), want_a.size());
+  for (const auto& [name, value] : got) {
+    ASSERT_TRUE(want_a.count(name) && want_b.count(name)) << name;
+    EXPECT_EQ(value, want_a.at(name) + want_b.at(name)) << name;
+  }
+  EXPECT_GT(got.at("powder_substitutions_applied_total"),
+            want_a.at("powder_substitutions_applied_total"));
 }
 
 // ---------------------------------------------------------------------------
