@@ -31,7 +31,6 @@
 #include "opt/candidates.hpp"
 #include "opt/substitution.hpp"
 #include "session/options.hpp"
-#include "timing/incremental_timing.hpp"
 #include "timing/timing.hpp"
 #include "trace/options.hpp"
 
@@ -311,6 +310,8 @@ struct PowderReport {
   int rejected_by_atpg = 0;
   int rejected_stale = 0;
   int outer_iterations = 0;
+  /// Wall time of run() on a steady clock, not CPU time; report schema 5
+  /// keeps the name.
   double cpu_seconds = 0.0;
 
   std::array<ClassStats, kNumResubClasses> by_class;  ///< indexed by ResubClass
@@ -456,25 +457,13 @@ class PowderOptimizer {
   /// Runs the full optimization; the netlist is modified in place.
   PowderReport run();
 
-  const AtpgChecker::Stats& atpg_stats() const { return atpg_stats_; }
-
  private:
   Netlist* netlist_;
   PowderOptions options_;
-  AtpgChecker::Stats atpg_stats_;
 
   /// Throws CheckError on malformed options (non-positive pattern count,
   /// pi_probs size/range mismatch, empty shortlist, ...).
   void validate_options() const;
-
-  /// The delay check of §3.4: the circuit delay `sub` would produce,
-  /// computed by overlaying its plan on `timing` (the main netlist's
-  /// analysis) without copying or mutating the netlist. Returns false at
-  /// once when `limit` is infinite; otherwise the check is counted in
-  /// `diag.delay_checks`.
-  bool violates_delay(const CandidateSub& sub, double limit,
-                      IncrementalTiming& timing,
-                      PowderReport::Diagnostics& diag) const;
 };
 
 /// Stable library entry point (also exported by the umbrella header
