@@ -53,7 +53,7 @@ void CellLibrary::index_cell(CellId id) {
 }
 
 CellId CellLibrary::find(std::string_view name) const {
-  const auto it = by_name_.find(std::string(name));
+  const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidCell : it->second;
 }
 

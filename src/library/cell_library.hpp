@@ -3,6 +3,7 @@
 // optimizer and mapper need (inverter, constants, the two-input gates that
 // OS3/IS3 substitutions may insert).
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,8 +76,17 @@ class CellLibrary {
   std::vector<Match> match_function(const TruthTable& f) const;
 
  private:
+  /// Hashes a name as a string_view, so find() looks up without building a
+  /// std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<Cell> cells_;
-  std::unordered_map<std::string, CellId> by_name_;
+  std::unordered_map<std::string, CellId, NameHash, std::equal_to<>> by_name_;
   std::unordered_map<std::string, std::vector<CellId>> by_function_hex_;
   CellId inverter_ = kInvalidCell;
   CellId buffer_ = kInvalidCell;
