@@ -76,13 +76,10 @@ class CellLibrary {
   std::vector<Match> match_function(const TruthTable& f) const;
 
  private:
-  /// Hashes a name as a string_view, so find() looks up without building a
-  /// std::string.
-  struct NameHash {
+  /// Hashes names as string_views, so find() looks a name up without
+  /// building a std::string.
+  struct NameHash : std::hash<std::string_view> {
     using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
   };
 
   std::vector<Cell> cells_;

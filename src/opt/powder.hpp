@@ -361,7 +361,7 @@ struct PowderReport {
     long trace_dropped = 0;
 
     /// Per-class accept/reject economics of the generalized resubstitution
-    /// framework, mirrored from the MetricsRegistry counters. Indexed by
+    /// framework, exported as registry counters too. Indexed by
     /// ResubClass; `gain` is the measured power delta of the class's
     /// applied transforms (same value as by_class[i].power_delta).
     struct Resub {

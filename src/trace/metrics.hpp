@@ -4,12 +4,11 @@
 // with single relaxed atomic operations — no allocation, no locking, no
 // formatting on the hot path.
 //
-// The registry is the successor of the ad-hoc PowderReport::Diagnostics
-// fields: the optimizer registers one instrument per diagnostic, updates
-// instruments during the run, and snapshots them back into the Diagnostics
-// struct at end of run (the compatibility shim that keeps --report-json
-// keys stable). Exports: a JSON object (merged into --report-json as the
-// "metrics" field) and Prometheus text exposition (--metrics-out).
+// Components count into an attached registry as they go; the greedy loop
+// fills it from one counter table at the end of the run (opt/powder.cpp),
+// always with inc(), so a registry shared across runs holds their sums.
+// Exports: a JSON object (merged into --report-json as the "metrics"
+// field) and Prometheus text exposition (--metrics-out).
 
 #include <atomic>
 #include <cmath>
