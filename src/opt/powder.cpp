@@ -1,6 +1,5 @@
 #include "opt/powder.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -22,8 +21,8 @@
 #include "util/budget.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
-#include "util/fault_injection.hpp"
 #include "util/memstats.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace powder {
@@ -44,7 +43,13 @@ bool corrupt_candidate(const Netlist& nl, const Simulator& sim,
     if (!nl.alive(g) || nl.kind(g) == GateKind::kOutput) continue;
     if (g == sub->target || g == entry) continue;
     const auto words = sim.value(g);
-    if (std::equal(words.begin(), words.end(), target_words.begin())) continue;
+    bool differs = false;
+    for (std::size_t w = 0; w < words.size(); ++w)
+      if (words[w] != target_words[w]) {
+        differs = true;
+        break;
+      }
+    if (!differs) continue;
     CandidateSub trial = *sub;
     trial.cls = sub->branch.has_value() ? SubstClass::kIS2 : SubstClass::kOS2;
     trial.rep = ReplacementFunction::signal(g, false);
